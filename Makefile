@@ -2,14 +2,16 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_13.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_9.json
+BENCH_BASE ?= BENCH_10.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
 # so it gets its own much smaller fixed count.
 BENCH_NET_TIME ?= 50000x
+# One B+ tree build op loads 1M keys (tens of ms), so it gets a tiny count.
+BENCH_BUILD_TIME ?= 5x
 
 .PHONY: all build test race chaos bench bench-all verify examples fmt vet clean
 
@@ -58,6 +60,10 @@ chaos:
 # allocate (runs -count=5, benchjson keeps each side's fastest run) — and
 # the same bar holds with the full self-healing stack armed (gossip
 # membership, read-repair queue + sweeper, hinted handoff): path=selfheal.
+#
+# The btree leg prices loading the kvindex server's 1M-key index: the
+# one-pass BuildAscending must cost ≤0.5× the ascending Put loop it replaced
+# (runs -count=3, benchjson keeps each side's fastest run).
 bench:
 	{ $(GO) test -run '^$$' -bench 'FlatVsGeneric|FlatQuery|FlatReaders|Engine|Tiered|Breaker|Shedder' -benchmem \
 		-benchtime=$(BENCH_TIME) ./internal/lru/ ./internal/engine/ ./internal/resilience/ \
@@ -66,7 +72,9 @@ bench:
 	&& $(GO) test -run '^$$' -bench 'WireLadder|NetDecode' -benchmem \
 		-benchtime=$(BENCH_NET_TIME) ./internal/netproto/ \
 	&& $(GO) test -run '^$$' -bench 'ClusterRouter' -benchmem \
-		-benchtime=$(BENCH_TIME) -count=5 ./internal/cluster/ ; } \
+		-benchtime=$(BENCH_TIME) -count=5 ./internal/cluster/ \
+	&& $(GO) test -run '^$$' -bench 'BTreeBuild' -benchmem \
+		-benchtime=$(BENCH_BUILD_TIME) -count=3 ./internal/btree/ ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT) \
 		-faster 'FlatVsGeneric/core=flat<FlatVsGeneric/core=generic' \
 		-faster 'FlatVsGeneric/core=flat-batch<FlatVsGeneric/core=generic' \
@@ -90,6 +98,7 @@ bench:
 		-zeroalloc 'ClusterRouter/path=local' \
 		-maxratio 'ClusterRouter/path=selfheal<=1.3*ClusterRouter/path=single' \
 		-zeroalloc 'ClusterRouter/path=selfheal' \
+		-maxratio 'BTreeBuild/how=bulk<=0.5*BTreeBuild/how=put' \
 		-baseline $(BENCH_BASE) \
 		-within 'EngineQuery=3' \
 		-within 'FlatQuery/core=flat=3' \

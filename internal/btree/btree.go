@@ -57,6 +57,108 @@ func (t *Tree) Height() int {
 	return h
 }
 
+// leafSlab is how many leaves BuildAscending carves from one allocation of
+// node structs and key/value slots.
+const leafSlab = 1024
+
+// BuildAscending returns the tree that Put(kv(0)), …, Put(kv(n-1)) would
+// build, node for node, in one pass. kv must yield strictly ascending keys;
+// BuildAscending panics otherwise.
+//
+// Each key is appended to the rightmost leaf, and the rightmost interior path
+// is kept as a stack, so no key walks down from the root. Splits follow Put's
+// rule exactly — a leaf splits 8 | 8 when its 16th key arrives, an interior
+// node splits 8 keys | separator up | 7 keys — so height, walk lengths and the
+// leaf chain are those of the ascending-Put tree. Leaves and their key/value
+// slices come from slabs; every slice is carved with cap == degree, so a later
+// Put, Delete or merge on one leaf never writes into a neighbour's slots.
+func BuildAscending(n int, kv func(i int) (k, v uint64)) *Tree {
+	b := builder{chunk: min(leafSlab, n/(degree/2)+1)}
+	leaf := b.newLeaf()
+	b.spine = []*node{leaf}
+	for i := 0; i < n; i++ {
+		k, v := kv(i)
+		if i > 0 {
+			if last := leaf.keys[len(leaf.keys)-1]; k <= last {
+				panic(fmt.Sprintf("btree: BuildAscending key %d at %d is not above %d", k, i, last))
+			}
+		}
+		leaf.keys = append(leaf.keys, k)
+		leaf.vals = append(leaf.vals, v)
+		if len(leaf.keys) > maxKeys {
+			leaf = b.splitLeaf()
+		}
+	}
+	return &Tree{root: b.spine[len(b.spine)-1], size: n}
+}
+
+// builder is BuildAscending's state: the rightmost node of every level and
+// the unused rest of the current leaf slab.
+type builder struct {
+	spine      []*node // spine[0] is the rightmost leaf, the last entry the root
+	chunk      int     // leaves per slab
+	nodes      []node
+	keys, vals []uint64
+}
+
+func (b *builder) newLeaf() *node {
+	if len(b.nodes) == 0 {
+		b.nodes = make([]node, b.chunk)
+		b.keys = make([]uint64, b.chunk*degree)
+		b.vals = make([]uint64, b.chunk*degree)
+	}
+	n := &b.nodes[0]
+	n.keys = b.keys[:0:degree]
+	n.vals = b.vals[:0:degree]
+	b.nodes, b.keys, b.vals = b.nodes[1:], b.keys[degree:], b.vals[degree:]
+	return n
+}
+
+func newInterior() *node {
+	return &node{keys: make([]uint64, 0, degree), children: make([]*node, 0, degree+1)}
+}
+
+// splitLeaf splits the overfull rightmost leaf as Put would, links the new
+// right half into the chain and the spine, and returns it.
+func (b *builder) splitLeaf() *node {
+	l := b.spine[0]
+	mid := len(l.keys) / 2
+	r := b.newLeaf()
+	r.keys = append(r.keys, l.keys[mid:]...)
+	r.vals = append(r.vals, l.vals[mid:]...)
+	l.keys, l.vals = l.keys[:mid], l.vals[:mid]
+	l.next = r
+	b.spine[0] = r
+	b.push(1, r.keys[0], l, r)
+	return r
+}
+
+// push adds separator sep and the new right sibling of left to the rightmost
+// node at level, splitting upward as Put's insert does.
+func (b *builder) push(level int, sep uint64, left, right *node) {
+	for ; level < len(b.spine); level++ {
+		p := b.spine[level]
+		p.keys = append(p.keys, sep)
+		p.children = append(p.children, right)
+		if len(p.keys) <= maxKeys {
+			return
+		}
+		mid := len(p.keys) / 2
+		sep = p.keys[mid]
+		r := newInterior()
+		r.keys = append(r.keys, p.keys[mid+1:]...)
+		r.children = append(r.children, p.children[mid+1:]...)
+		p.keys, p.children = p.keys[:mid], p.children[:mid+1]
+		b.spine[level] = r
+		left, right = p, r
+	}
+	// The root split: grow a level, as Put does.
+	root := newInterior()
+	root.keys = append(root.keys, sep)
+	root.children = append(root.children, left, right)
+	b.spine = append(b.spine, root)
+}
+
 // search returns the index of the first key ≥ k in n.keys.
 func search(keys []uint64, k uint64) int {
 	lo, hi := 0, len(keys)

@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -276,11 +278,159 @@ func TestGetNodeCountReflectsHeight(t *testing.T) {
 	}
 }
 
-func BenchmarkGet(b *testing.B) {
-	tr := New()
-	for k := uint64(0); k < 1_000_000; k++ {
-		tr.Put(k, k)
+// diffTrees reports the first place a and b differ node for node: keys,
+// vals, fanout, and where each leaf's chain link points.
+func diffTrees(a, b *Tree) error {
+	if a.Len() != b.Len() || a.Height() != b.Height() {
+		return fmt.Errorf("len/height %d/%d vs %d/%d", a.Len(), a.Height(), b.Len(), b.Height())
 	}
+	twin := map[*node]*node{}
+	var walk func(x, y *node, depth int) error
+	walk = func(x, y *node, depth int) error {
+		twin[x] = y
+		switch {
+		case x.leaf() != y.leaf() || len(x.children) != len(y.children):
+			return fmt.Errorf("depth %d: fanout %d vs %d", depth, len(x.children), len(y.children))
+		case !slices.Equal(x.keys, y.keys):
+			return fmt.Errorf("depth %d: keys %v vs %v", depth, x.keys, y.keys)
+		case !slices.Equal(x.vals, y.vals):
+			return fmt.Errorf("depth %d: vals %v vs %v", depth, x.vals, y.vals)
+		}
+		for i := range x.children {
+			if err := walk(x.children[i], y.children[i], depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(a.root, b.root, 0); err != nil {
+		return err
+	}
+	for x, y := range twin {
+		if x.leaf() && twin[x.next] != y.next {
+			return fmt.Errorf("leaf %v: chain link differs", x.keys)
+		}
+	}
+	return nil
+}
+
+// buildPair builds the same n ascending keys (gapped, so later Puts land
+// between them) with BuildAscending and with a Put loop.
+func buildPair(n int) (built, put *Tree) {
+	kv := func(i int) (k, v uint64) { return uint64(i)*3 + 1, uint64(i) * 0x9e3779b97f4a7c15 }
+	put = New()
+	for i := 0; i < n; i++ {
+		put.Put(kv(i))
+	}
+	return BuildAscending(n, kv), put
+}
+
+// matchesPut checks BuildAscending(n) against the ascending-Put tree, then
+// drives both through the same seeded Put/Delete mix and checks again: the
+// slab-carved leaf slices must behave exactly like Put's owned ones.
+func matchesPut(n int, ops int, seed int64) error {
+	built, put := buildPair(n)
+	same := func(stage string) error {
+		err := built.check()
+		if err == nil {
+			err = diffTrees(built, put)
+		}
+		if err != nil {
+			return fmt.Errorf("n=%d %s: %w", n, stage, err)
+		}
+		return nil
+	}
+	if err := same("after build"); err != nil {
+		return err
+	}
+	r := rand.New(rand.NewSource(seed))
+	span := 3*n + 16
+	for op := 0; op < ops; op++ {
+		k := uint64(r.Intn(span))
+		if r.Intn(2) == 0 {
+			v := r.Uint64()
+			if built.Put(k, v) != put.Put(k, v) {
+				return fmt.Errorf("n=%d op %d: Put(%d) disagrees", n, op, k)
+			}
+		} else if built.Delete(k) != put.Delete(k) {
+			return fmt.Errorf("n=%d op %d: Delete(%d) disagrees", n, op, k)
+		}
+	}
+	return same("after mix")
+}
+
+func TestBuildAscendingMatchesPut(t *testing.T) {
+	for n := 0; n <= 5000; n += 7 {
+		if err := matchesPut(n, 2*n+64, int64(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := matchesPut(1_000_000, 200_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	f := func(n uint16, seed int64) bool {
+		err := matchesPut(int(n)%20_000, 1000, seed)
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestBuildAscendingPanicsOnUnsorted(t *testing.T) {
+	for name, keys := range map[string][]uint64{
+		"duplicate":  {1, 2, 2},
+		"descending": {5, 4},
+		"late":       append(seq(40), 3),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("BuildAscending accepted unsorted keys")
+				}
+			}()
+			BuildAscending(len(keys), func(i int) (k, v uint64) { return keys[i], 0 })
+		})
+	}
+}
+
+func seq(n int) []uint64 {
+	s := make([]uint64, n)
+	for i := range s {
+		s[i] = uint64(i)
+	}
+	return s
+}
+
+func identity(i int) (k, v uint64) { return uint64(i), uint64(i) }
+
+// BenchmarkBTreeBuild prices building a 1M-key index: how=bulk is
+// BuildAscending, how=put the ascending Put loop it replaces.
+func BenchmarkBTreeBuild(b *testing.B) {
+	const n = 1_000_000
+	b.Run("how=bulk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkTree = BuildAscending(n, identity)
+		}
+	})
+	b.Run("how=put", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tr := New()
+			for j := 0; j < n; j++ {
+				tr.Put(identity(j))
+			}
+			sinkTree = tr
+		}
+	})
+}
+
+var sinkTree *Tree
+
+func BenchmarkGet(b *testing.B) {
+	tr := BuildAscending(1_000_000, identity)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(uint64(i) % 1_000_000)

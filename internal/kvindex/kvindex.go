@@ -42,16 +42,16 @@ type Server struct {
 }
 
 // NewServer loads `items` sequential keys (1..items) with deterministic
-// 64-byte values.
+// 64-byte values. The index is bulk-loaded into the shape ascending Puts
+// would produce, so a walk costs what it would on a tree grown by inserts.
 func NewServer(items int) *Server {
-	s := &Server{index: btree.New(), arena: make([]byte, items*ValueSize)}
-	for i := 0; i < items; i++ {
-		k := uint64(i + 1)
-		off := uint64(i * ValueSize)
-		s.index.Put(k, off)
-		binary.LittleEndian.PutUint64(s.arena[off:], k^0xbadc0ffee)
-	}
-	return s
+	arena := make([]byte, items*ValueSize)
+	index := btree.BuildAscending(items, func(i int) (k, off uint64) {
+		k, off = uint64(i+1), uint64(i*ValueSize)
+		binary.LittleEndian.PutUint64(arena[off:], k^0xbadc0ffee)
+		return k, off
+	})
+	return &Server{index: index, arena: arena}
 }
 
 // Items returns the number of stored keys.
@@ -91,10 +91,12 @@ func (s *Server) Write(key, val uint64) (nodes int, ok bool) {
 // node count of the walk.
 func (s *Server) lookup(key uint64, cachedIndex uint64, cached bool) (idx uint64, val uint64, nodes int, ok bool) {
 	if cached {
-		if cachedIndex+8 <= uint64(len(s.arena)) {
+		// Only a slot start inside the arena is a valid index; written as a
+		// bound on cachedIndex alone so a wire-supplied value cannot
+		// overflow. A corrupt cached index falls back to the walk.
+		if cachedIndex%ValueSize == 0 && cachedIndex < uint64(len(s.arena)) {
 			return cachedIndex, binary.LittleEndian.Uint64(s.arena[cachedIndex:]), 0, true
 		}
-		// A corrupt cached index falls back to the walk.
 	}
 	off, nodes, ok := s.index.Get(key)
 	if !ok {

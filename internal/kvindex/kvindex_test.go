@@ -1,6 +1,8 @@
 package kvindex
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -32,6 +34,64 @@ func TestServer(t *testing.T) {
 	_, val3, nodes3, ok3 := srv.lookup(42, 1<<60, true)
 	if !ok3 || nodes3 == 0 || val3 != val {
 		t.Fatalf("corrupt-index fallback: ok=%v nodes=%d", ok3, nodes3)
+	}
+}
+
+// TestResolveRejectsBadCachedIndex: a cached index that is not the start of
+// an arena slot falls back to the walk instead of panicking or returning
+// bytes that straddle two slots.
+func TestResolveRejectsBadCachedIndex(t *testing.T) {
+	srv := NewServer(1000)
+	_, want, _, _ := srv.Resolve(5, 0, false)
+	arena := uint64(len(srv.arena))
+	for name, idx := range map[string]uint64{
+		"last word":    arena - 8,
+		"wraps on +8":  1<<64 - 4,
+		"mid slot":     3,
+		"one past end": arena,
+	} {
+		t.Run(name, func(t *testing.T) {
+			gotIdx, got, nodes, ok := srv.Resolve(5, idx, true)
+			if !ok || nodes == 0 || gotIdx != 4*ValueSize || !bytes.Equal(got, want) {
+				t.Errorf("Resolve(5, %d, cached) = idx %d nodes %d ok %v, want the walked slot", idx, gotIdx, nodes, ok)
+			}
+		})
+	}
+}
+
+// TestServerResolvesEveryKey: every loaded key resolves by walk to its value
+// at full index height, and by its own cached index without a walk.
+func TestServerResolvesEveryKey(t *testing.T) {
+	const items = 20_000
+	srv := NewServer(items)
+	h := srv.IndexHeight()
+	for k := uint64(1); k <= items; k++ {
+		idx, val, nodes, ok := srv.Resolve(k, 0, false)
+		if !ok || nodes != h || binary.LittleEndian.Uint64(val) != k^0xbadc0ffee {
+			t.Fatalf("walk Resolve(%d): ok=%v nodes=%d (height %d)", k, ok, nodes, h)
+		}
+		idx2, val2, nodes2, ok2 := srv.Resolve(k, idx, true)
+		if !ok2 || nodes2 != 0 || idx2 != idx || !bytes.Equal(val2, val) {
+			t.Fatalf("cached Resolve(%d, %d): ok=%v nodes=%d idx=%d", k, idx, ok2, nodes2, idx2)
+		}
+	}
+	if _, _, _, ok := srv.Resolve(items+1, 0, false); ok {
+		t.Error("resolved a key that was never loaded")
+	}
+}
+
+func TestServerTiny(t *testing.T) {
+	empty := NewServer(0)
+	if empty.Items() != 0 || empty.IndexHeight() != 1 {
+		t.Errorf("NewServer(0): items=%d height=%d", empty.Items(), empty.IndexHeight())
+	}
+	if _, _, _, ok := empty.Resolve(1, 0, true); ok {
+		t.Error("empty server resolved a key")
+	}
+	one := NewServer(1)
+	idx, val, nodes, ok := one.Resolve(1, 0, false)
+	if !ok || idx != 0 || nodes != 1 || binary.LittleEndian.Uint64(val) != 1^0xbadc0ffee {
+		t.Errorf("NewServer(1): Resolve(1) = idx %d nodes %d ok %v", idx, nodes, ok)
 	}
 }
 

@@ -3,6 +3,7 @@ package netproto
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/p4lru/p4lru/internal/engine"
@@ -95,12 +96,20 @@ func TestNodeGossipExchange(t *testing.T) {
 		{ID: "self", UDPAddr: "u", TCPAddr: "t", Status: MemberAlive, Incarnation: 2},
 		{ID: "other", Status: MemberSuspect, Incarnation: 1},
 	}
-	var sawIn []MemberDigest
+	// The handler runs on the node's UDP goroutine; the mutex orders its
+	// write before the test's read (the reply datagram is invisible to the
+	// race detector).
+	var (
+		mu    sync.Mutex
+		sawIn []MemberDigest
+	)
 	s, err := NewNodeServer("127.0.0.1:0", NodeConfig{
 		Engine:   eng,
 		RingSeed: 7,
 		Gossip: func(in []MemberDigest) []MemberDigest {
+			mu.Lock()
 			sawIn = in
+			mu.Unlock()
 			return nodeView
 		},
 	})
@@ -115,8 +124,11 @@ func TestNodeGossipExchange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Gossip: %v", err)
 	}
-	if !reflect.DeepEqual(sawIn, sent) {
-		t.Fatalf("handler saw %+v, want %+v", sawIn, sent)
+	mu.Lock()
+	got := sawIn
+	mu.Unlock()
+	if !reflect.DeepEqual(got, sent) {
+		t.Fatalf("handler saw %+v, want %+v", got, sent)
 	}
 	if !reflect.DeepEqual(reply, nodeView) {
 		t.Fatalf("reply = %+v, want the node's view %+v", reply, nodeView)

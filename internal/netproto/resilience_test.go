@@ -2,11 +2,13 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/p4lru/p4lru/internal/kvindex"
 	"github.com/p4lru/p4lru/internal/resilience"
 )
 
@@ -61,6 +63,62 @@ func TestServerCloseUnderLoad(t *testing.T) {
 	}
 	if st.Replies != st.Queries {
 		t.Fatalf("Close dropped in-flight replies: queries=%d replies=%d", st.Queries, st.Replies)
+	}
+}
+
+// TestServerSurvivesCraftedCachedIndex sends queries straight to a Server
+// with cached_flag set and a cached_index that is not an arena slot start:
+// past the last full slot, wrapping on overflow, mid-slot. Each must be
+// answered from the index walk with the correct value (one such packet used
+// to panic the serving goroutine and kill the process), and the server must
+// keep serving afterwards.
+func TestServerSurvivesCraftedCachedIndex(t *testing.T) {
+	const items = 1000
+	srv, err := NewServer("127.0.0.1:0", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialUDP("udp", nil, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const key = 5
+	arena := uint64(items * kvindex.ValueSize)
+	buf := make([]byte, 64*1024)
+	queries := []Message{
+		{Type: MsgQuery, CachedFlag: 1, Key: key, CachedIndex: arena - 8},
+		{Type: MsgQuery, CachedFlag: 1, Key: key, CachedIndex: 1<<64 - 4},
+		{Type: MsgQuery, CachedFlag: 1, Key: key, CachedIndex: 3},
+		{Type: MsgQuery, Key: key}, // still serving
+	}
+	for _, q := range queries {
+		idx := q.CachedIndex
+		if _, err := conn.Write(q.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("cached_index %d: no reply: %v", idx, err)
+		}
+		var r Message
+		if err := r.Unmarshal(buf[:n]); err != nil || r.Type != MsgReply || r.Key != key {
+			t.Fatalf("cached_index %d: bad reply %+v (%v)", idx, r, err)
+		}
+		if r.CachedIndex != (key-1)*kvindex.ValueSize || len(r.Value) < 8 ||
+			binary.LittleEndian.Uint64(r.Value) != key^0xbadc0ffee {
+			t.Fatalf("cached_index %d: reply index %d value %x", idx, r.CachedIndex, r.Value)
+		}
+	}
+	// Close drains the readers, so the counters have settled.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Replies != 4 || st.IndexWalks != 4 {
+		t.Errorf("stats %+v: want 4 replies, all walked", st)
 	}
 }
 
