@@ -10,8 +10,6 @@ BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
 # so it gets its own much smaller fixed count.
 BENCH_NET_TIME ?= 50000x
-# One B+ tree build op loads 1M keys (tens of ms), so it gets a tiny count.
-BENCH_BUILD_TIME ?= 5x
 
 .PHONY: all build test race chaos bench bench-all verify examples fmt vet clean
 
@@ -63,7 +61,8 @@ chaos:
 #
 # The btree leg prices loading the kvindex server's 1M-key index: the
 # one-pass BuildAscending must cost ≤0.5× the ascending Put loop it replaced
-# (runs -count=3, benchjson keeps each side's fastest run).
+# (one build op loads 1M keys, tens of ms, so it runs a fixed -benchtime=5x
+# -count=3; benchjson keeps each side's fastest run).
 bench:
 	{ $(GO) test -run '^$$' -bench 'FlatVsGeneric|FlatQuery|FlatReaders|Engine|Tiered|Breaker|Shedder' -benchmem \
 		-benchtime=$(BENCH_TIME) ./internal/lru/ ./internal/engine/ ./internal/resilience/ \
@@ -74,7 +73,7 @@ bench:
 	&& $(GO) test -run '^$$' -bench 'ClusterRouter' -benchmem \
 		-benchtime=$(BENCH_TIME) -count=5 ./internal/cluster/ \
 	&& $(GO) test -run '^$$' -bench 'BTreeBuild' -benchmem \
-		-benchtime=$(BENCH_BUILD_TIME) -count=3 ./internal/btree/ ; } \
+		-benchtime=5x -count=3 ./internal/btree/ ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT) \
 		-faster 'FlatVsGeneric/core=flat<FlatVsGeneric/core=generic' \
 		-faster 'FlatVsGeneric/core=flat-batch<FlatVsGeneric/core=generic' \

@@ -57,10 +57,6 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// leafSlab is how many leaves BuildAscending carves from one allocation of
-// node structs and key/value slots.
-const leafSlab = 1024
-
 // BuildAscending returns the tree that Put(kv(0)), …, Put(kv(n-1)) would
 // build, node for node, in one pass. kv must yield strictly ascending keys;
 // BuildAscending panics otherwise.
@@ -69,13 +65,10 @@ const leafSlab = 1024
 // is kept as a stack, so no key walks down from the root. Splits follow Put's
 // rule exactly — a leaf splits 8 | 8 when its 16th key arrives, an interior
 // node splits 8 keys | separator up | 7 keys — so height, walk lengths and the
-// leaf chain are those of the ascending-Put tree. Leaves and their key/value
-// slices come from slabs; every slice is carved with cap == degree, so a later
-// Put, Delete or merge on one leaf never writes into a neighbour's slots.
+// leaf chain are those of the ascending-Put tree.
 func BuildAscending(n int, kv func(i int) (k, v uint64)) *Tree {
-	b := builder{chunk: min(leafSlab, n/(degree/2)+1)}
-	leaf := b.newLeaf()
-	b.spine = []*node{leaf}
+	leaf := newLeaf()
+	b := builder{spine: []*node{leaf}}
 	for i := 0; i < n; i++ {
 		k, v := kv(i)
 		if i > 0 {
@@ -92,26 +85,13 @@ func BuildAscending(n int, kv func(i int) (k, v uint64)) *Tree {
 	return &Tree{root: b.spine[len(b.spine)-1], size: n}
 }
 
-// builder is BuildAscending's state: the rightmost node of every level and
-// the unused rest of the current leaf slab.
+// builder is BuildAscending's state: the rightmost node of every level.
 type builder struct {
-	spine      []*node // spine[0] is the rightmost leaf, the last entry the root
-	chunk      int     // leaves per slab
-	nodes      []node
-	keys, vals []uint64
+	spine []*node // spine[0] is the rightmost leaf, the last entry the root
 }
 
-func (b *builder) newLeaf() *node {
-	if len(b.nodes) == 0 {
-		b.nodes = make([]node, b.chunk)
-		b.keys = make([]uint64, b.chunk*degree)
-		b.vals = make([]uint64, b.chunk*degree)
-	}
-	n := &b.nodes[0]
-	n.keys = b.keys[:0:degree]
-	n.vals = b.vals[:0:degree]
-	b.nodes, b.keys, b.vals = b.nodes[1:], b.keys[degree:], b.vals[degree:]
-	return n
+func newLeaf() *node {
+	return &node{keys: make([]uint64, 0, degree), vals: make([]uint64, 0, degree)}
 }
 
 func newInterior() *node {
@@ -123,7 +103,7 @@ func newInterior() *node {
 func (b *builder) splitLeaf() *node {
 	l := b.spine[0]
 	mid := len(l.keys) / 2
-	r := b.newLeaf()
+	r := newLeaf()
 	r.keys = append(r.keys, l.keys[mid:]...)
 	r.vals = append(r.vals, l.vals[mid:]...)
 	l.keys, l.vals = l.keys[:mid], l.vals[:mid]

@@ -327,7 +327,7 @@ func buildPair(n int) (built, put *Tree) {
 
 // matchesPut checks BuildAscending(n) against the ascending-Put tree, then
 // drives both through the same seeded Put/Delete mix and checks again: the
-// slab-carved leaf slices must behave exactly like Put's owned ones.
+// built tree must keep behaving exactly like the Put-built one.
 func matchesPut(n int, ops int, seed int64) error {
 	built, put := buildPair(n)
 	same := func(stage string) error {
