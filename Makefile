@@ -2,9 +2,9 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_13.json
+BENCH_OUT ?= BENCH_15.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_10.json
+BENCH_BASE ?= BENCH_13.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
@@ -58,6 +58,10 @@ chaos:
 # allocate (runs -count=5, benchjson keeps each side's fastest run) — and
 # the same bar holds with the full self-healing stack armed (gossip
 # membership, read-repair queue + sweeper, hinted handoff): path=selfheal.
+# The miss and write path gets the same treatment: GetOrLoad of a fresh key
+# through a replicated three-node router with its join windows open
+# (path=cold-router) must not allocate and must cost ≤4.8× a bare engine's
+# Query miss plus Apply (path=cold-engine).
 #
 # The btree leg prices loading the kvindex server's 1M-key index: the
 # one-pass BuildAscending must cost ≤0.5× the ascending Put loop it replaced
@@ -97,6 +101,8 @@ bench:
 		-zeroalloc 'ClusterRouter/path=local' \
 		-maxratio 'ClusterRouter/path=selfheal<=1.3*ClusterRouter/path=single' \
 		-zeroalloc 'ClusterRouter/path=selfheal' \
+		-maxratio 'ClusterRouter/path=cold-router<=4.8*ClusterRouter/path=cold-engine' \
+		-zeroalloc 'ClusterRouter/path=cold-router' \
 		-maxratio 'BTreeBuild/how=bulk<=0.5*BTreeBuild/how=put' \
 		-baseline $(BENCH_BASE) \
 		-within 'EngineQuery=3' \

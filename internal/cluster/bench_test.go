@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,6 +14,11 @@ import (
 // through a one-node router (ring lookup, hot-key touch, breaker liveness
 // check, LocalPeer hop). The bench gate holds the local-owner overhead to
 // ≤1.3× the bare engine.
+//
+// path=cold-engine and path=cold-router price the miss and write path the
+// same way: a bare engine's Query miss plus Apply of a fresh key, against
+// GetOrLoad of a fresh key through a replicated three-node router whose
+// join windows stay open — the cluster benchmark's warm-up.
 func BenchmarkClusterRouter(b *testing.B) {
 	const keys = 4096
 	newFilled := func(b *testing.B) *engine.Engine {
@@ -95,6 +101,40 @@ func BenchmarkClusterRouter(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r.Query(res[i%len(res)])
+		}
+	})
+
+	// Fresh keys are spread over the circle by an odd multiplier, so the
+	// owner, replica and window arcs vary per op as in a real warm-up.
+	fresh := func(i int) uint64 { return uint64(i+1) * 0x9e3779b97f4a7c15 }
+
+	b.Run("path=cold-engine", func(b *testing.B) {
+		e := newSeriesEngine(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := fresh(i)
+			if _, _, ok := e.Query(k); !ok {
+				e.Apply(engine.Op{Key: k, Value: k, Token: policy.NoToken})
+			}
+		}
+	})
+
+	b.Run("path=cold-router", func(b *testing.B) {
+		r := New(Config{Seed: testSeed, Replicas: 2, HotK: 4, HeartbeatEvery: -1, DualReadFor: time.Hour})
+		defer r.Close()
+		for i := 0; i < 3; i++ {
+			if err := r.Join(fmt.Sprintf("node-%d", i), NewLocalPeer(newSeriesEngine(b), testSeed)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		load := func(k uint64) (uint64, error) { return k, nil }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.GetOrLoad(fresh(i), load); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

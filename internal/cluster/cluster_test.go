@@ -3,10 +3,12 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"github.com/p4lru/p4lru/internal/engine"
+	"github.com/p4lru/p4lru/internal/obs"
 	"github.com/p4lru/p4lru/internal/policy"
 	"github.com/p4lru/p4lru/internal/resilience"
 )
@@ -26,6 +28,21 @@ func newTestEngine(t *testing.T) *engine.Engine {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
+	return e
+}
+
+// newSeriesEngine builds a node engine like the benchmark's cluster nodes:
+// the series-connected P4LRU cache, which evicts and never allocates per op.
+func newSeriesEngine(tb testing.TB) *engine.Engine {
+	tb.Helper()
+	e, err := engine.NewFromSpec(
+		policy.Spec{Kind: policy.KindSeries, MemBytes: 320 << 10},
+		engine.Config{Shards: 2, Block: true},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(e.Close)
 	return e
 }
 
@@ -178,41 +195,130 @@ func TestRouterLeaveKeepsServing(t *testing.T) {
 	}
 }
 
-// TestRouterDualReadWindow exercises the miss-retry path directly: a key
-// resident only at the previous holder of its arc is found through the
-// window and re-installed at the current owner.
+// setWindows publishes a copy of r's state that carries ws, built the way
+// swap builds every state.
+func setWindows(r *Router, ws ...dualWindow) {
+	st := r.state.Load()
+	ns := &ringState{ring: st.ring, peers: st.peers, windows: ws}
+	ns.index(r.gate)
+	r.state.Store(ns)
+}
+
+// TestRouterDualReadWindow drives the miss-retry path through hand-built
+// windows. In every case the value lives only on node-1, as if the key's
+// arc just moved 1 → 0, and the router queries a key node-0 owns; the
+// cluster_dual_reads_total counter counts the source reads it made.
 func TestRouterDualReadWindow(t *testing.T) {
-	r, peers := newTestCluster(t, 2, Config{})
-	ring := r.Ring()
-	// Find a key owned by node-0.
-	var key uint64
-	for k := uint64(1); ; k++ {
-		if ring.Owner(k) == "node-0" {
-			key = k
-			break
+	const val = 777
+	circle := func(uint64) [][2]uint64 { return [][2]uint64{{0, 0}} } // degenerate arc: whole circle
+	cases := []struct {
+		name      string
+		source    string
+		arcs      func(pos uint64) [][2]uint64
+		expired   bool // the window closed a minute ago
+		kill      bool // the source is dead when the read comes
+		wantReads uint64
+		wantHit   bool
+	}{
+		{name: "hit re-installs at owner", source: "node-1", arcs: circle, wantReads: 1, wantHit: true},
+		{name: "expired window", source: "node-1", arcs: circle, expired: true},
+		{name: "killed source", source: "node-1", arcs: circle, kill: true, wantReads: 1},
+		{name: "source is the asked owner", source: "node-0", arcs: circle},
+		{name: "inside a wrapping arc", source: "node-1", wantReads: 1, wantHit: true,
+			arcs: func(pos uint64) [][2]uint64 { return [][2]uint64{{math.MaxUint64 - 1000, pos}} }},
+		{name: "outside all arcs", source: "node-1",
+			arcs: func(pos uint64) [][2]uint64 { return [][2]uint64{{pos, pos + 1000}, {math.MaxUint64 - 1000, pos - 1}} }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			r, peers := newTestCluster(t, 2, Config{
+				Obs:     reg,
+				Breaker: resilience.BreakerConfig{ConsecutiveFailures: 1, OpenFor: time.Minute},
+			})
+			// A node-0 key in the lower quarter of the circle, so an arc
+			// from near the top can wrap through zero to reach it.
+			var key, pos uint64
+			for k := uint64(1); ; k++ {
+				if pos = r.Ring().Pos(k); pos < 1<<62 && r.Ring().Owner(k) == "node-0" {
+					key = k
+					break
+				}
+			}
+			if err := peers["node-1"].Update(key, val); err != nil {
+				t.Fatal(err)
+			}
+			until := time.Now().Add(time.Minute)
+			if c.expired {
+				until = time.Now().Add(-time.Minute)
+			}
+			setWindows(r, dualWindow{arcs: c.arcs(pos), source: c.source, until: until})
+			if c.kill {
+				peers["node-1"].Kill()
+			}
+
+			v, ok, err := r.Query(key)
+			if ok != c.wantHit || (ok && v != val) || err != nil {
+				t.Fatalf("Query = (%d, %v, %v), want hit=%v", v, ok, err, c.wantHit)
+			}
+			if got := reg.CounterValue("cluster_dual_reads_total"); got != c.wantReads {
+				t.Fatalf("%d source reads, want %d", got, c.wantReads)
+			}
+			if v, _, ok := peers["node-0"].Engine().Query(key); ok != c.wantHit || (ok && v != val) {
+				t.Fatalf("owner holds (%d, %v) after the read, want re-install=%v", v, ok, c.wantHit)
+			}
+			if c.kill {
+				if s := r.gate.Peer("node-1").State(); s != resilience.Open {
+					t.Fatalf("dead source's breaker is %v, want open", s)
+				}
+			}
+		})
+	}
+}
+
+// TestRouterPerOpPathsDoNotAllocate holds every per-op router path to zero
+// allocations on a replicated ring: hot-key reads and writes fan over the
+// replica set, and a cold GetOrLoad misses at the owner, reads the join
+// windows' previous holders, loads and installs.
+func TestRouterPerOpPathsDoNotAllocate(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := New(Config{Seed: testSeed, Replicas: 2, HotK: 4, HeartbeatEvery: -1, DualReadFor: time.Hour, Obs: reg})
+	t.Cleanup(r.Close)
+	for i := 0; i < 3; i++ {
+		if err := r.Join(fmt.Sprintf("node-%d", i), NewLocalPeer(newSeriesEngine(t), testSeed)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The value lives only on node-1, as if the arc just moved 1 → 0.
-	if err := peers["node-1"].Update(key, 777); err != nil {
+	if len(r.state.Load().windows) == 0 {
+		t.Fatal("the joins opened no dual-read windows")
+	}
+	const hot = uint64(12345)
+	for i := 0; i < 4096; i++ {
+		r.hot.Touch(hot)
+	}
+	r.hot.Publish()
+	if !r.hot.Hot(hot) {
+		t.Fatal("key did not reach the published hot set")
+	}
+	if err := r.Update(hot, 1); err != nil {
 		t.Fatal(err)
 	}
-	st := r.state.Load()
-	manual := &ringState{
-		ring:  st.ring,
-		peers: st.peers,
-		windows: []dualWindow{{
-			arcs:   [][2]uint64{{0, 0}}, // degenerate arc: whole circle
-			source: "node-1",
-			until:  time.Now().Add(time.Minute),
-		}},
+	load := func(k uint64) (uint64, error) { return k, nil }
+	fresh := uint64(1 << 40)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"hot Query", func() { _, _, _ = r.Query(hot) }},
+		{"hot Update", func() { _ = r.Update(hot, 2) }},
+		{"cold GetOrLoad", func() { fresh++; _, _ = r.GetOrLoad(fresh, load) }},
+	} {
+		if n := testing.AllocsPerRun(1000, c.op); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
 	}
-	manual.index(r.gate)
-	r.state.Store(manual)
-	if v, ok, err := r.Query(key); !ok || v != 777 || err != nil {
-		t.Fatalf("dual read = (%d, %v, %v), want (777, true, nil)", v, ok, err)
-	}
-	if v, _, ok := peers["node-0"].Engine().Query(key); !ok || v != 777 {
-		t.Fatalf("dual-read hit not re-installed at owner (got %d, %v)", v, ok)
+	if reg.CounterValue("cluster_fan_reads_total") == 0 || reg.CounterValue("cluster_dual_reads_total") == 0 {
+		t.Fatal("the ops never took the fan or the dual-read path")
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,11 +26,12 @@ type hotKeys struct {
 	n   atomic.Uint64                   // touch counter, drives sampling
 	hot atomic.Pointer[map[uint64]bool] // published top-K set
 
-	mu    sync.Mutex
-	sk    *sketch.CountMin
-	cand  map[uint64]uint32 // candidate key → latest sketch estimate
-	since uint64            // sampled touches since last publish
-	epoch time.Time
+	mu     sync.Mutex
+	sk     *sketch.CountMin
+	cand   map[uint64]uint32 // candidate key → latest sketch estimate
+	counts []uint32          // prune's scratch, reused so pruning does not allocate
+	since  uint64            // sampled touches since last publish
+	epoch  time.Time
 }
 
 const (
@@ -140,11 +142,12 @@ func (h *hotKeys) publish() {
 
 // prune drops the coldest half of the candidate map. Caller holds h.mu.
 func (h *hotKeys) prune() {
-	counts := make([]uint32, 0, len(h.cand))
+	counts := h.counts[:0]
 	for _, n := range h.cand {
 		counts = append(counts, n)
 	}
-	sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
+	slices.Sort(counts)
+	h.counts = counts
 	cut := counts[len(counts)/2]
 	for k, n := range h.cand {
 		if n <= cut && len(h.cand) > hotCandidateCap*h.k/2 {

@@ -81,11 +81,11 @@ func (r *Router) repairOne(j repairJob) {
 	if st.ring.Size() == 0 || st.peers[j.dst] == nil {
 		return
 	}
-	owner := st.ring.OwnerAt(st.ring.Pos(j.key))
-	if owner == j.dst {
+	owner := st.ring.OwnerIdxAt(st.ring.Pos(j.key))
+	if st.ids[owner] == j.dst {
 		return // ownership moved; the migration path owns this copy now
 	}
-	v, ok, err := r.queryPeer(st, owner, j.key)
+	v, ok, err := r.queryIdx(st, owner, j.key)
 	if err != nil || !ok {
 		return
 	}

@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -24,15 +25,9 @@ import (
 type Ring struct {
 	hash    hashing.Hash
 	vnodes  int
-	members []string // sorted
-	points  []point  // sorted by pos
-}
-
-// point is one virtual node: a position on the circle and the index of the
-// member that owns it.
-type point struct {
-	pos   uint64
-	owner int32
+	members []string  // sorted
+	points  jumpIndex // virtual node positions, sorted
+	owners  []int32   // owners[i] is the Members() index owning points.keys[i]
 }
 
 // NewRing builds a ring of members (order-insensitive, deduplicated) with
@@ -53,30 +48,38 @@ func NewRing(seed uint64, vnodes int, members []string) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{
-		hash:    hashing.New(seed),
-		vnodes:  vnodes,
-		members: uniq,
-		points:  make([]point, 0, len(uniq)*vnodes),
+	r := &Ring{hash: hashing.New(seed), vnodes: vnodes, members: uniq}
+	// point is one virtual node: a position on the circle and the index of
+	// the member that owns it.
+	type point struct {
+		pos   uint64
+		owner int32
 	}
+	points := make([]point, 0, len(uniq)*vnodes)
 	buf := make([]byte, 0, 64)
 	for mi, m := range uniq {
 		for v := 0; v < vnodes; v++ {
 			buf = append(buf[:0], m...)
 			buf = append(buf, '#')
 			buf = strconv.AppendInt(buf, int64(v), 10)
-			r.points = append(r.points, point{pos: r.hash.Bytes(buf), owner: int32(mi)})
+			points = append(points, point{pos: r.hash.Bytes(buf), owner: int32(mi)})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].pos != r.points[j].pos {
-			return r.points[i].pos < r.points[j].pos
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].pos != points[j].pos {
+			return points[i].pos < points[j].pos
 		}
 		// A position collision between two members' vnodes is ~impossible
 		// at 64 bits, but resolve it deterministically by member order so
 		// every ring built from the same inputs agrees.
-		return r.points[i].owner < r.points[j].owner
+		return points[i].owner < points[j].owner
 	})
+	pos := make([]uint64, len(points))
+	r.owners = make([]int32, len(points))
+	for i, p := range points {
+		pos[i], r.owners[i] = p.pos, p.owner
+	}
+	r.points = newJumpIndex(pos)
 	return r
 }
 
@@ -91,70 +94,64 @@ func (r *Ring) Pos(key uint64) uint64 { return r.hash.Uint64(key) }
 
 // ceil returns the index of the first point with pos ≥ h, wrapping to 0.
 func (r *Ring) ceil(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
-	if i == len(r.points) {
+	i := r.points.ceil(h)
+	if i == len(r.owners) {
 		return 0
 	}
 	return i
-}
-
-// OwnerAt returns the member owning ring position h. Allocation-free —
-// this is the router's per-query path.
-func (r *Ring) OwnerAt(h uint64) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.members[r.points[r.ceil(h)].owner]
 }
 
 // OwnerIdxAt returns the Members() index of the member owning ring
 // position h (-1 on an empty ring) — the allocation-free handle the
 // router's fast path uses to index its member-aligned peer arrays.
 func (r *Ring) OwnerIdxAt(h uint64) int {
-	if len(r.points) == 0 {
+	if len(r.owners) == 0 {
 		return -1
 	}
-	return int(r.points[r.ceil(h)].owner)
+	return int(r.owners[r.ceil(h)])
 }
 
-// Owner returns the member owning key.
-func (r *Ring) Owner(key uint64) string { return r.OwnerAt(r.Pos(key)) }
+// Owner returns the member owning key ("" on an empty ring).
+func (r *Ring) Owner(key uint64) string {
+	if i := r.OwnerIdxAt(r.Pos(key)); i >= 0 {
+		return r.members[i]
+	}
+	return ""
+}
+
+// replicaIdxAt fills buf with up to n distinct Members() indices for ring
+// position h — the owner first, then successors walking clockwise — and
+// returns the filled prefix. It allocates only when n exceeds cap(buf):
+// the router's per-op fans pass a stack array.
+func (r *Ring) replicaIdxAt(buf []int, h uint64, n int) []int {
+	out := buf[:0]
+	if len(r.owners) == 0 || n < 1 {
+		return out
+	}
+	n = min(n, len(r.members))
+	for i, steps := r.ceil(h), 0; steps < len(r.owners) && len(out) < n; steps++ {
+		// n is a replica count, so a scan of the picks beats any seen-set.
+		if o := int(r.owners[i]); !slices.Contains(out, o) {
+			out = append(out, o)
+		}
+		if i++; i == len(r.owners) {
+			i = 0
+		}
+	}
+	return out
+}
 
 // ReplicasAt returns up to n distinct members for ring position h: the
 // owner first, then successors walking clockwise. Allocates the result.
 func (r *Ring) ReplicasAt(h uint64, n int) []string {
-	if len(r.points) == 0 || n < 1 {
+	var buf [8]int
+	idx := r.replicaIdxAt(buf[:], h, n)
+	if len(idx) == 0 {
 		return nil
 	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	out := make([]string, 0, n)
-	seen := int64(0) // member-index bitmap; member counts stay well under 64 in practice
-	var seenMap map[int32]struct{}
-	if len(r.members) > 64 {
-		seenMap = make(map[int32]struct{}, n)
-	}
-	for i, steps := r.ceil(h), 0; steps < len(r.points) && len(out) < n; steps++ {
-		o := r.points[i].owner
-		taken := false
-		if seenMap != nil {
-			_, taken = seenMap[o]
-		} else {
-			taken = seen&(1<<uint(o)) != 0
-		}
-		if !taken {
-			if seenMap != nil {
-				seenMap[o] = struct{}{}
-			} else {
-				seen |= 1 << uint(o)
-			}
-			out = append(out, r.members[o])
-		}
-		i++
-		if i == len(r.points) {
-			i = 0
-		}
+	out := make([]string, len(idx))
+	for i, m := range idx {
+		out[i] = r.members[m]
 	}
 	return out
 }
@@ -203,7 +200,7 @@ type Transfer struct {
 // that are known dead are the caller's problem: filter Transfer.Sources
 // before executing.
 func Plan(old, next *Ring, replicas int) []Transfer {
-	if next == nil || len(next.points) == 0 || old == nil || len(old.points) == 0 {
+	if next == nil || len(next.owners) == 0 || old == nil || len(old.owners) == 0 {
 		return nil // bootstrap or shutdown: nothing to copy from / to
 	}
 	if replicas < 1 {
@@ -212,14 +209,10 @@ func Plan(old, next *Ring, replicas int) []Transfer {
 
 	// The union of both rings' point positions partitions the circle into
 	// arcs on which both replica sets are constant.
-	cuts := make([]uint64, 0, len(old.points)+len(next.points))
-	for _, p := range old.points {
-		cuts = append(cuts, p.pos)
-	}
-	for _, p := range next.points {
-		cuts = append(cuts, p.pos)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	cuts := make([]uint64, 0, len(old.owners)+len(next.owners))
+	cuts = append(cuts, old.points.keys...)
+	cuts = append(cuts, next.points.keys...)
+	slices.Sort(cuts)
 	cuts = dedupeU64(cuts)
 
 	type destKey struct {

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/netproto"
 	"github.com/p4lru/p4lru/internal/obs"
 	"github.com/p4lru/p4lru/internal/obs/span"
@@ -147,43 +147,61 @@ type dualWindow struct {
 	arcs   [][2]uint64
 	source string
 	until  time.Time
+
+	// Resolved by ringState.index into the state that carries the window.
+	cover arcIndex // arcsContain(arcs, ·) in O(1)
+	src   int      // source's slot in the state's peer arrays; -1 = no handle
 }
 
 // ringState is the router's atomically-swapped view of the cluster: the
 // ring, the peer handles (including tombstones — departed members kept
 // reachable while a dual-read window still points at them), and the active
-// windows. peerArr/brkArr mirror peers and the peer gate, aligned with
-// ring.Members() — the owner query path indexes them directly instead of
-// paying two string-map lookups per query.
+// windows. It is built whole and never mutated once published.
+//
+// ids/peerArr/locArr/brkArr are the per-op paths' view of peers and the
+// peer gate, indexed by slot: slot i < ring.Size() is ring.Members()[i],
+// later slots are the tombstones the windows read from. Every per-op call
+// indexes them instead of paying string-map lookups and the gate's lock.
+// locArr devirtualizes in-process peers: where peerArr[i] is a *LocalPeer,
+// locArr[i] is that peer, so the fast paths reach the engine with direct
+// calls instead of interface-dispatched frames.
 type ringState struct {
 	ring    *Ring
 	peers   map[string]Peer
+	ids     []string
 	peerArr []Peer
-	// engArr/deadArr devirtualize in-process peers: where peerArr[i] is a
-	// *LocalPeer, engArr[i] is its engine and deadArr[i] its kill flag, so
-	// the query fast path reaches engine.Query with one direct call instead
-	// of two interface-dispatched frames.
-	engArr  []*engine.Engine
-	deadArr []*atomic.Bool
+	locArr  []*LocalPeer
 	brkArr  []*resilience.Breaker
 	windows []dualWindow
 }
 
-// index builds the member-aligned fast-path arrays. Called once per swap.
+// index builds the slot arrays and resolves every window against them.
+// Called once per swap, before the state is published.
 func (st *ringState) index(gate *resilience.PeerGate) {
-	members := st.ring.Members()
-	st.peerArr = make([]Peer, len(members))
-	st.engArr = make([]*engine.Engine, len(members))
-	st.deadArr = make([]*atomic.Bool, len(members))
-	st.brkArr = make([]*resilience.Breaker, len(members))
-	for i, id := range members {
-		st.peerArr[i] = st.peers[id]
-		if lp, ok := st.peers[id].(*LocalPeer); ok {
-			st.engArr[i] = lp.eng
-			st.deadArr[i] = &lp.down
-		}
-		st.brkArr[i] = gate.Peer(id)
+	for _, id := range st.ring.Members() {
+		st.addSlot(id, gate)
 	}
+	for i := range st.windows {
+		w := &st.windows[i]
+		w.cover = newArcIndex(w.arcs)
+		// A source out of the ring is a tombstone slot, or -1 for a corpse
+		// (no handle kept, no dual reads).
+		w.src = slices.Index(st.ids, w.source)
+		if w.src < 0 && st.peers[w.source] != nil {
+			w.src = st.addSlot(w.source, gate)
+		}
+	}
+}
+
+// addSlot appends id's peer handle and breaker as a new slot.
+func (st *ringState) addSlot(id string, gate *resilience.PeerGate) int {
+	p := st.peers[id]
+	lp, _ := p.(*LocalPeer)
+	st.ids = append(st.ids, id)
+	st.peerArr = append(st.peerArr, p)
+	st.locArr = append(st.locArr, lp)
+	st.brkArr = append(st.brkArr, gate.Peer(id))
+	return len(st.ids) - 1
 }
 
 // Router fronts a set of engine nodes as one Engine-shaped cache: Query,
@@ -193,8 +211,10 @@ func (st *ringState) index(gate *resilience.PeerGate) {
 // move only the affected hash ranges, streamed as range-filtered snapshots,
 // with a dual-read window masking the handoff.
 //
-// All methods are safe for concurrent use. The read path is lock-free:
-// one atomic state load, a ring binary search, and a breaker liveness load.
+// All methods are safe for concurrent use. The per-op paths (Query, Update,
+// GetOrLoad) take no gate lock and, while peers answer, allocate nothing:
+// one atomic state load, an O(1) ring lookup, and per peer call a breaker
+// liveness load.
 type Router struct {
 	cfg  Config
 	gate *resilience.PeerGate
@@ -225,7 +245,7 @@ type Router struct {
 	degraded atomic.Bool   // minority-partition mode, refreshed each heartbeat
 	gossipRR atomic.Uint64 // rotates the per-tick gossip partner
 
-	okSample atomic.Uint64 // samples breaker success recording on the fast path
+	okSample atomic.Uint64 // samples breaker success recording in do
 	rr       atomic.Uint64 // rotates hot-key read fan-out across replicas
 
 	queries, hits, fanReads       *obs.Counter
@@ -417,8 +437,12 @@ func (r *Router) replicas() int {
 // do runs one call against peer id through its breaker. While the breaker
 // is live (closed) the call proceeds on the lock-free path — failures are
 // always recorded, successes on a 1-in-16 sample, which keeps the breaker's
-// mutex off the per-query path. Once the breaker trips, calls fall back to
-// the full Allow/Record protocol that owns the half-open probe bookkeeping.
+// mutex off the call path. Once the breaker trips, calls fall back to the
+// full Allow/Record protocol that owns the half-open probe bookkeeping.
+//
+// do and updatePeer address peers by id through the gate and a closure:
+// they serve background work only (repair, sweep, heartbeat, gossip). The
+// per-op paths use queryIdx and updateIdx.
 func (r *Router) do(id string, f func() error) error {
 	b := r.gate.Peer(id)
 	if b.Live() {
@@ -438,47 +462,21 @@ func (r *Router) do(id string, f func() error) error {
 	return err
 }
 
-// queryPeer reads key from one member through its breaker. The breaker
-// protocol is inlined rather than routed through do() so the per-query
-// path stays closure-free (and so allocation-free on local peers).
-func (r *Router) queryPeer(st *ringState, id string, key uint64) (uint64, bool, error) {
-	p := st.peers[id]
-	if p == nil {
-		return 0, false, fmt.Errorf("cluster: no peer handle for %q", id)
-	}
-	b := r.gate.Peer(id)
-	if b.Live() {
-		v, ok, err := p.Query(key)
-		if err != nil {
-			b.Record(false)
-		} else if r.okSample.Add(1)&15 == 0 {
-			b.Record(true)
-		}
-		return v, ok, err
-	}
-	if !b.Allow() {
-		return 0, false, fmt.Errorf("cluster: peer %s: %w", id, resilience.ErrOpen)
-	}
-	v, ok, err := p.Query(key)
-	b.Record(err == nil)
-	return v, ok, err
-}
-
-// queryIdx is queryPeer addressed by Members() index — the owner fast path.
-// It touches only the member-aligned arrays built at swap time, so a hit
-// costs one atomic state load, one breaker liveness load and the peer call
+// queryIdx reads key from the peer in slot i through its breaker — every
+// per-op read goes through it. It touches only the slot arrays built at
+// swap time, so a hit costs one breaker liveness load and the peer call
 // (direct, not interface-dispatched, for in-process peers). Success
 // recording is sampled on key bits rather than a shared counter: across a
 // key population it still averages 1-in-16, without an atomic RMW
-// contended by every query. The tripped-breaker branch lives in
-// queryIdxSlow to keep this body within the inliner's budget.
+// contended by every query. The tripped-breaker branch lives apart, in
+// queryIdxSlow.
 func (r *Router) queryIdx(st *ringState, i int, key uint64) (uint64, bool, error) {
 	b := st.brkArr[i]
 	if !b.Live() {
 		return r.queryIdxSlow(st, i, key)
 	}
-	if e := st.engArr[i]; e != nil && !st.deadArr[i].Load() {
-		v, _, ok := e.Query(key)
+	if lp := st.locArr[i]; lp != nil && !lp.down.Load() {
+		v, _, ok := lp.eng.Query(key)
 		if key&15 == 0 {
 			b.Record(true)
 		}
@@ -498,11 +496,46 @@ func (r *Router) queryIdx(st *ringState, i int, key uint64) (uint64, bool, error
 func (r *Router) queryIdxSlow(st *ringState, i int, key uint64) (uint64, bool, error) {
 	b := st.brkArr[i]
 	if !b.Allow() {
-		return 0, false, fmt.Errorf("cluster: peer %s: %w", st.ring.Members()[i], resilience.ErrOpen)
+		return 0, false, fmt.Errorf("cluster: peer %s: %w", st.ids[i], resilience.ErrOpen)
 	}
 	v, ok, err := st.peerArr[i].Query(key)
 	b.Record(err == nil)
 	return v, ok, err
+}
+
+// updateIdx is queryIdx's write twin: it installs key → val at the peer in
+// slot i through its breaker, with the same liveness gate, key-bit success
+// sampling and direct call into in-process peers. Every per-op write goes
+// through it: Update's owner write and replica fan, GetOrLoad's install
+// and the dual-read re-install.
+func (r *Router) updateIdx(st *ringState, i int, key, val uint64) error {
+	b := st.brkArr[i]
+	if !b.Live() {
+		return r.updateIdxSlow(st, i, key, val)
+	}
+	var err error
+	if lp := st.locArr[i]; lp != nil {
+		err = lp.Update(key, val)
+	} else {
+		err = st.peerArr[i].Update(key, val)
+	}
+	if err != nil {
+		b.Record(false)
+	} else if key&15 == 0 {
+		b.Record(true)
+	}
+	return err
+}
+
+// updateIdxSlow is updateIdx's tripped-breaker path.
+func (r *Router) updateIdxSlow(st *ringState, i int, key, val uint64) error {
+	b := st.brkArr[i]
+	if !b.Allow() {
+		return fmt.Errorf("cluster: peer %s: %w", st.ids[i], resilience.ErrOpen)
+	}
+	err := st.peerArr[i].Update(key, val)
+	b.Record(err == nil)
+	return err
 }
 
 // updatePeer installs key → val at one member through its breaker.
@@ -537,8 +570,8 @@ func (r *Router) Query(key uint64) (uint64, bool, error) {
 		// additionally hand-inlined — this is the benchmarked overhead of
 		// fronting a single engine with the router.
 		if b := st.brkArr[0]; b.Live() {
-			if e := st.engArr[0]; e != nil && !st.deadArr[0].Load() {
-				v, _, ok := e.Query(key)
+			if lp := st.locArr[0]; lp != nil && !lp.down.Load() {
+				v, _, ok := lp.eng.Query(key)
 				if key&15 == 0 {
 					b.Record(true)
 				}
@@ -557,31 +590,32 @@ func (r *Router) Query(key uint64) (uint64, bool, error) {
 
 	pos := st.ring.Pos(key)
 	if r.hot == nil || !r.hot.Hot(key) {
-		idx := st.ring.OwnerIdxAt(pos)
-		v, ok, err := r.queryIdx(st, idx, key)
+		owner := st.ring.OwnerIdxAt(pos)
+		v, ok, err := r.queryIdx(st, owner, key)
 		if ok {
 			r.hits.Inc()
 			return v, true, nil
 		}
-		if v, ok = r.dualRead(st, pos, key, st.ring.Members()[idx]); ok {
+		if v, ok = r.dualRead(st, pos, key, owner, owner); ok {
 			return v, true, nil
 		}
 		return 0, false, err
 	}
 
 	r.fanReads.Inc()
-	ids := st.ring.ReplicasAt(pos, r.replicas())
-	start := int(r.rr.Add(1)) % len(ids)
+	var buf [8]int
+	reps := st.ring.replicaIdxAt(buf[:], pos, r.replicas())
+	start := int(r.rr.Add(1)) % len(reps)
 	var lastErr error
 	answered := false
 	// Replicas that answered a miss before another replica hit have observably
 	// diverged from the hot set — free read-repair triggers. The fixed array
 	// keeps the fan path allocation-free.
-	var missed [8]string
+	var missed [8]int
 	nm := 0
-	for i := 0; i < len(ids); i++ {
-		id := ids[(start+i)%len(ids)]
-		v, ok, err := r.queryPeer(st, id, key)
+	for i := range reps {
+		m := reps[(start+i)%len(reps)]
+		v, ok, err := r.queryIdx(st, m, key)
 		if err != nil {
 			lastErr = err
 			continue
@@ -589,17 +623,17 @@ func (r *Router) Query(key uint64) (uint64, bool, error) {
 		answered = true
 		if ok {
 			r.hits.Inc()
-			for j := 0; j < nm; j++ {
-				r.enqueueRepair(key, missed[j])
+			for _, j := range missed[:nm] {
+				r.enqueueRepair(key, st.ids[j])
 			}
 			return v, true, nil
 		}
 		if nm < len(missed) {
-			missed[nm] = id
+			missed[nm] = m
 			nm++
 		}
 	}
-	if v, ok := r.dualRead(st, pos, key, ""); ok {
+	if v, ok := r.dualRead(st, pos, key, reps[0], -1); ok {
 		return v, true, nil
 	}
 	if answered {
@@ -609,38 +643,32 @@ func (r *Router) Query(key uint64) (uint64, bool, error) {
 }
 
 // dualRead retries a miss at the previous holder of pos's arc when a
-// migration window is still open, re-installing hits at the current owner.
-// queried is a member already asked this query (skipped as source).
-func (r *Router) dualRead(st *ringState, pos, key uint64, queried string) (uint64, bool) {
-	if len(st.windows) == 0 {
-		return 0, false
-	}
-	now := time.Now()
+// migration window is still open, re-installing hits at owner, the slot of
+// pos's current owner. queried is a slot already asked this query (skipped
+// as source), or -1. The arc test comes first, so the clock is read at
+// most once, and only for a position some window covers.
+func (r *Router) dualRead(st *ringState, pos, key uint64, owner, queried int) (uint64, bool) {
+	var now time.Time
 	for i := range st.windows {
 		w := &st.windows[i]
-		if w.source == queried || now.After(w.until) || !arcsContain(w.arcs, pos) {
+		if w.src < 0 || w.src == queried || !w.cover.contains(pos) {
 			continue
 		}
-		p := st.peers[w.source]
-		if p == nil {
+		if now.IsZero() {
+			now = time.Now()
+		}
+		if now.After(w.until) {
 			continue
 		}
 		r.dualReads.Inc()
-		var v uint64
-		var ok bool
-		err := r.do(w.source, func() error {
-			var qerr error
-			v, ok, qerr = p.Query(key)
-			return qerr
-		})
+		v, ok, err := r.queryIdx(st, w.src, key)
 		if err != nil || !ok {
 			continue
 		}
 		r.dualHits.Inc()
 		r.hits.Inc()
-		owner := st.ring.OwnerAt(pos)
-		if owner != w.source {
-			_ = r.updatePeer(st, owner, key, v) // warm the new owner; best-effort
+		if owner != w.src {
+			_ = r.updateIdx(st, owner, key, v) // warm the new owner; best-effort
 		}
 		return v, true
 	}
@@ -667,22 +695,23 @@ func (r *Router) Update(key, val uint64) error {
 	r.updates.Inc()
 	pos := st.ring.Pos(key)
 	if r.replicas() == 1 || !r.hot.Hot(key) {
-		owner := st.ring.OwnerAt(pos)
-		err := r.updatePeer(st, owner, key, val)
-		if err != nil && r.parkHint(owner, key, val, err) {
+		owner := st.ring.OwnerIdxAt(pos)
+		err := r.updateIdx(st, owner, key, val)
+		if err != nil && r.parkHint(st.ids[owner], key, val, err) {
 			return ErrHinted
 		}
 		return err
 	}
-	ids := st.ring.ReplicasAt(pos, r.replicas())
-	err := r.updatePeer(st, ids[0], key, val)
-	if err != nil && r.parkHint(ids[0], key, val, err) {
+	var buf [8]int
+	reps := st.ring.replicaIdxAt(buf[:], pos, r.replicas())
+	err := r.updateIdx(st, reps[0], key, val)
+	if err != nil && r.parkHint(st.ids[reps[0]], key, val, err) {
 		err = ErrHinted
 	}
-	for _, id := range ids[1:] {
-		if ferr := r.updatePeer(st, id, key, val); ferr != nil {
+	for _, m := range reps[1:] {
+		if ferr := r.updateIdx(st, m, key, val); ferr != nil {
 			r.replicaFanFails.Inc()
-			r.parkHint(id, key, val, ferr)
+			r.parkHint(st.ids[m], key, val, ferr)
 		}
 	}
 	return err

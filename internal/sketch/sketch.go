@@ -236,8 +236,14 @@ func (c *CountMin) Add(key uint64, delta uint32, now time.Duration) uint32 {
 		}
 		return est
 	}
-	// Conservative update: raise every counter to at most min+delta.
-	idx := make([]int, len(c.rows))
+	// Conservative update: raise every counter to at most min+delta. The
+	// row indices live on the stack for sketches up to 8 rows deep, so the
+	// per-packet path does not allocate.
+	var buf [8]int
+	idx := buf[:]
+	if len(c.rows) > len(buf) {
+		idx = make([]int, len(c.rows))
+	}
 	min := ^uint32(0)
 	for i, r := range c.rows {
 		idx[i] = r.touch(key, epoch)

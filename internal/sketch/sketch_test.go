@@ -117,6 +117,23 @@ func TestCUNeverUndercountsAndBeatsCM(t *testing.T) {
 	}
 }
 
+// TestCUAddDoesNotAllocate: the conservative update keeps its row indices
+// on the stack, so the per-packet Add allocates nothing. A sketch deeper
+// than the stack array takes the heap fallback and still counts right.
+func TestCUAddDoesNotAllocate(t *testing.T) {
+	cu := NewCU(4, 1<<10, time.Millisecond, 6)
+	key := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() { key++; cu.Add(key%300, 1, time.Duration(key)) }); n != 0 {
+		t.Fatalf("CU Add: %v allocs/op, want 0", n)
+	}
+	deep := NewCU(12, 1<<10, 0, 6)
+	for i := uint32(1); i <= 5; i++ {
+		if got := deep.Add(9, 10, 0); got != 10*i {
+			t.Fatalf("12-row CU estimate after %d adds of 10 = %d", i, got)
+		}
+	}
+}
+
 func TestCountMinReset(t *testing.T) {
 	period := time.Millisecond
 	cm := NewCountMin(2, 256, period, 5)
