@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"github.com/p4lru/p4lru/internal/netproto"
@@ -78,18 +79,21 @@ func (r *Router) repairLoop() {
 // abandons the job — the next read or sweep will re-detect live divergence.
 func (r *Router) repairOne(j repairJob) {
 	st := r.state.Load()
-	if st.ring.Size() == 0 || st.peers[j.dst] == nil {
+	// Every peer the state holds has a slot, so a missing slot is a member
+	// that has since left (or died) with no window still reading from it.
+	dst := slices.Index(st.ids, j.dst)
+	if st.ring.Size() == 0 || dst < 0 {
 		return
 	}
 	owner := st.ring.OwnerIdxAt(st.ring.Pos(j.key))
-	if st.ids[owner] == j.dst {
+	if owner == dst {
 		return // ownership moved; the migration path owns this copy now
 	}
 	v, ok, err := r.queryIdx(st, owner, j.key)
 	if err != nil || !ok {
 		return
 	}
-	if r.updatePeer(st, j.dst, j.key, v) == nil {
+	if r.updateIdx(st, dst, j.key, v) == nil {
 		r.repairsApplied.Inc()
 	}
 }

@@ -163,8 +163,8 @@ type dualWindow struct {
 // later slots are the tombstones the windows read from. Every per-op call
 // indexes them instead of paying string-map lookups and the gate's lock.
 // locArr devirtualizes in-process peers: where peerArr[i] is a *LocalPeer,
-// locArr[i] is that peer, so the fast paths reach the engine with direct
-// calls instead of interface-dispatched frames.
+// locArr[i] is that peer, so reads reach the engine with a direct call
+// instead of an interface-dispatched frame.
 type ringState struct {
 	ring    *Ring
 	peers   map[string]Peer
@@ -440,9 +440,10 @@ func (r *Router) replicas() int {
 // mutex off the call path. Once the breaker trips, calls fall back to the
 // full Allow/Record protocol that owns the half-open probe bookkeeping.
 //
-// do and updatePeer address peers by id through the gate and a closure:
-// they serve background work only (repair, sweep, heartbeat, gossip). The
-// per-op paths use queryIdx and updateIdx.
+// do addresses a peer by id through the gate and a closure: it serves the
+// background calls that are not key operations (the sweep's digests,
+// heartbeat pings, gossip). Every Query and Update goes through queryIdx
+// or updateIdx.
 func (r *Router) do(id string, f func() error) error {
 	b := r.gate.Peer(id)
 	if b.Live() {
@@ -504,21 +505,16 @@ func (r *Router) queryIdxSlow(st *ringState, i int, key uint64) (uint64, bool, e
 }
 
 // updateIdx is queryIdx's write twin: it installs key → val at the peer in
-// slot i through its breaker, with the same liveness gate, key-bit success
-// sampling and direct call into in-process peers. Every per-op write goes
-// through it: Update's owner write and replica fan, GetOrLoad's install
-// and the dual-read re-install.
+// slot i through its breaker, with the same liveness gate and key-bit
+// success sampling. Every write goes through it: Update's owner write and
+// replica fan, GetOrLoad's install, the dual-read re-install and the
+// repair worker's install.
 func (r *Router) updateIdx(st *ringState, i int, key, val uint64) error {
 	b := st.brkArr[i]
 	if !b.Live() {
 		return r.updateIdxSlow(st, i, key, val)
 	}
-	var err error
-	if lp := st.locArr[i]; lp != nil {
-		err = lp.Update(key, val)
-	} else {
-		err = st.peerArr[i].Update(key, val)
-	}
+	err := st.peerArr[i].Update(key, val)
 	if err != nil {
 		b.Record(false)
 	} else if key&15 == 0 {
@@ -536,15 +532,6 @@ func (r *Router) updateIdxSlow(st *ringState, i int, key, val uint64) error {
 	err := st.peerArr[i].Update(key, val)
 	b.Record(err == nil)
 	return err
-}
-
-// updatePeer installs key → val at one member through its breaker.
-func (r *Router) updatePeer(st *ringState, id string, key, val uint64) error {
-	p := st.peers[id]
-	if p == nil {
-		return fmt.Errorf("cluster: no peer handle for %q", id)
-	}
-	return r.do(id, func() error { return p.Update(key, val) })
 }
 
 // Query reads key from its ring owner; hot keys rotate across the replica

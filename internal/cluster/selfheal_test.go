@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/p4lru/p4lru/internal/netproto"
+	"github.com/p4lru/p4lru/internal/obs"
 	"github.com/p4lru/p4lru/internal/resilience"
 )
 
@@ -209,6 +210,33 @@ func TestSweepRepairsValueDivergence(t *testing.T) {
 	})
 	if v, _, ok := owner.eng.Query(key); !ok || v != 1000 {
 		t.Fatalf("owner disturbed by repair: (%d, %v)", v, ok)
+	}
+}
+
+// TestRepairOneResolvesReplicaSlot drives the repair worker's step by hand:
+// a job against a live replica installs the owner's value there, and a job
+// against a member failed out of the ring since it was filed finds no slot
+// and is dropped without an install.
+func TestRepairOneResolvesReplicaSlot(t *testing.T) {
+	reg := obs.NewRegistry()
+	r, peers := newTestCluster(t, 3, Config{Replicas: 2, RepairSweepEvery: -1, Obs: reg})
+	key := keyOwnedBy(t, r, "node-0", 1)
+	if err := r.Update(key, 42); err != nil {
+		t.Fatal(err)
+	}
+	r.repairOne(repairJob{key: key, dst: "node-1"})
+	if v, _, ok := peers["node-1"].eng.Query(key); !ok || v != 42 {
+		t.Fatalf("live replica after repair = (%d, %v), want 42", v, ok)
+	}
+	if err := r.Fail("node-2"); err != nil {
+		t.Fatal(err)
+	}
+	r.repairOne(repairJob{key: key, dst: "node-2"})
+	if _, _, ok := peers["node-2"].eng.Query(key); ok {
+		t.Fatal("repair installed at a member no longer in the ring")
+	}
+	if got := reg.CounterValue("cluster_repairs_applied_total"); got != 1 {
+		t.Fatalf("repairs applied = %d, want 1", got)
 	}
 }
 
