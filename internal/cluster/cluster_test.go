@@ -195,19 +195,22 @@ func TestRouterLeaveKeepsServing(t *testing.T) {
 	}
 }
 
-// setWindows publishes a copy of r's state that carries ws, built the way
-// swap builds every state.
+// setWindows opens ws through swap, the path every membership change takes:
+// the published state carries those of ws still open, beside the windows
+// the state already had.
 func setWindows(r *Router, ws ...dualWindow) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	st := r.state.Load()
-	ns := &ringState{ring: st.ring, peers: st.peers, windows: ws}
-	ns.index(r.gate)
-	r.state.Store(ns)
+	r.swap(st, st.ring, clonePeers(st.peers), ws)
 }
 
 // TestRouterDualReadWindow drives the miss-retry path through hand-built
 // windows. In every case the value lives only on node-1, as if the key's
 // arc just moved 1 → 0, and the router queries a key node-0 owns; the
-// cluster_dual_reads_total counter counts the source reads it made.
+// cluster_dual_reads_total counter counts the source reads it made. The
+// join windows the cluster already has never cover the key: they cover
+// arcs node-1 now owns.
 func TestRouterDualReadWindow(t *testing.T) {
 	const val = 777
 	circle := func(uint64) [][2]uint64 { return [][2]uint64{{0, 0}} } // degenerate arc: whole circle
@@ -215,7 +218,7 @@ func TestRouterDualReadWindow(t *testing.T) {
 		name      string
 		source    string
 		arcs      func(pos uint64) [][2]uint64
-		expired   bool // the window closed a minute ago
+		expired   bool // the window's deadline passed a minute before the swap
 		kill      bool // the source is dead when the read comes
 		wantReads uint64
 		wantHit   bool

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/hashing"
@@ -61,7 +60,6 @@ var ErrPeerDown = fmt.Errorf("cluster: peer down: %w", netproto.ErrUnreachable)
 type LocalPeer struct {
 	eng    *engine.Engine
 	hash   hashing.Hash
-	epoch  time.Time
 	dead   atomic.Bool
 	cut    atomic.Bool
 	down   atomic.Bool // dead || cut, pre-folded for the router's fast path
@@ -71,7 +69,7 @@ type LocalPeer struct {
 // NewLocalPeer wraps eng. ringSeed must match the cluster's Config.Seed so
 // migration range filters slice the same key sets the ring assigns.
 func NewLocalPeer(eng *engine.Engine, ringSeed uint64) *LocalPeer {
-	return &LocalPeer{eng: eng, hash: hashing.New(ringSeed), epoch: time.Now()}
+	return &LocalPeer{eng: eng, hash: hashing.New(ringSeed)}
 }
 
 // Engine exposes the wrapped engine (tests assert on its contents).
@@ -125,7 +123,7 @@ func (p *LocalPeer) Update(key, val uint64) error {
 	if p.down.Load() {
 		return ErrPeerDown
 	}
-	p.eng.Apply(engine.Op{Key: key, Value: val, Token: policy.NoToken, Now: time.Since(p.epoch)})
+	p.eng.Apply(engine.Op{Key: key, Value: val, Token: policy.NoToken, Now: p.eng.Now()})
 	return nil
 }
 

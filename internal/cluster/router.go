@@ -142,7 +142,9 @@ func (c Config) withDefaults() Config {
 // dualWindow marks a set of hash arcs that recently changed hands: until
 // the deadline, a read miss inside the arcs retries source (the previous
 // holder) and re-installs hits at the new owner. Windows ride the immutable
-// ringState, so the query path reads them without locks.
+// ringState, so the query path reads them without locks, and a published
+// window is open: the router's expiry timer republishes the state without
+// it at its deadline, so the query path reads no clock.
 type dualWindow struct {
 	arcs   [][2]uint64
 	source string
@@ -212,9 +214,9 @@ func (st *ringState) addSlot(id string, gate *resilience.PeerGate) int {
 // with a dual-read window masking the handoff.
 //
 // All methods are safe for concurrent use. The per-op paths (Query, Update,
-// GetOrLoad) take no gate lock and, while peers answer, allocate nothing:
-// one atomic state load, an O(1) ring lookup, and per peer call a breaker
-// liveness load.
+// GetOrLoad) take no gate lock, read no clock outside the hot-key sketch's
+// sampled touch and, while peers answer, allocate nothing: one atomic state
+// load, an O(1) ring lookup, and per peer call a breaker liveness load.
 type Router struct {
 	cfg  Config
 	gate *resilience.PeerGate
@@ -229,6 +231,7 @@ type Router struct {
 
 	mu     sync.Mutex      // serializes membership changes
 	owned  map[string]Peer // handles the router dialed itself; guarded by mu
+	expiry *time.Timer     // fires expireWindows at the earliest window deadline; guarded by mu
 	closed atomic.Bool
 	hbStop chan struct{}
 	hbDone chan struct{}
@@ -384,6 +387,9 @@ func (r *Router) Close() {
 	r.bg.Wait()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.expiry != nil {
+		r.expiry.Stop()
+	}
 	for id, p := range r.owned {
 		_ = p.Close()
 		delete(r.owned, id)
@@ -506,9 +512,9 @@ func (r *Router) queryIdxSlow(st *ringState, i int, key uint64) (uint64, bool, e
 
 // updateIdx is queryIdx's write twin: it installs key → val at the peer in
 // slot i through its breaker, with the same liveness gate and key-bit
-// success sampling. Every write goes through it: Update's owner write and
-// replica fan, GetOrLoad's install, the dual-read re-install and the
-// repair worker's install.
+// success sampling. Every write goes through it: the owner write and
+// replica fan that Update and GetOrLoad's install share, the dual-read
+// re-install and the repair worker's install.
 func (r *Router) updateIdx(st *ringState, i int, key, val uint64) error {
 	b := st.brkArr[i]
 	if !b.Live() {
@@ -574,19 +580,29 @@ func (r *Router) Query(key uint64) (uint64, bool, error) {
 		}
 		return v, ok, err
 	}
+	v, ok, _, err := r.query(st, key)
+	return v, ok, err
+}
 
+// query is Query's routed read of key in st, a non-empty ring, after the
+// counter and the hot-key touch. It also returns where Update would install
+// key in st: the owner's slot for a key that is not hot, or -1 for a hot
+// key, whose install fans to its replicas. GetOrLoad installs there without
+// routing again.
+func (r *Router) query(st *ringState, key uint64) (uint64, bool, int, error) {
 	pos := st.ring.Pos(key)
-	if r.hot == nil || !r.hot.Hot(key) {
+	if !r.hot.Hot(key) {
 		owner := st.ring.OwnerIdxAt(pos)
 		v, ok, err := r.queryIdx(st, owner, key)
 		if ok {
 			r.hits.Inc()
-			return v, true, nil
+			return v, true, owner, nil
 		}
-		if v, ok = r.dualRead(st, pos, key, owner, owner); ok {
-			return v, true, nil
+		read := [8]int{owner}
+		if v, ok = r.dualRead(st, pos, key, read[:1]); ok {
+			return v, true, owner, nil
 		}
-		return 0, false, err
+		return 0, false, owner, err
 	}
 
 	r.fanReads.Inc()
@@ -613,39 +629,37 @@ func (r *Router) Query(key uint64) (uint64, bool, error) {
 			for _, j := range missed[:nm] {
 				r.enqueueRepair(key, st.ids[j])
 			}
-			return v, true, nil
+			return v, true, -1, nil
 		}
 		if nm < len(missed) {
 			missed[nm] = m
 			nm++
 		}
 	}
-	if v, ok := r.dualRead(st, pos, key, reps[0], -1); ok {
-		return v, true, nil
+	if v, ok := r.dualRead(st, pos, key, reps); ok {
+		return v, true, -1, nil
 	}
 	if answered {
-		return 0, false, nil
+		return 0, false, -1, nil
 	}
-	return 0, false, lastErr
+	return 0, false, -1, lastErr
 }
 
-// dualRead retries a miss at the previous holder of pos's arc when a
-// migration window is still open, re-installing hits at owner, the slot of
-// pos's current owner. queried is a slot already asked this query (skipped
-// as source), or -1. The arc test comes first, so the clock is read at
-// most once, and only for a position some window covers.
-func (r *Router) dualRead(st *ringState, pos, key uint64, owner, queried int) (uint64, bool) {
-	var now time.Time
+// dualRead retries a miss at the previous holders of pos's arc while
+// migration windows are open, re-installing a hit at the owner. read holds
+// the slots this query already asked, the owner first. dualRead skips them
+// and asks every other source once, however many covering windows name it:
+// it appends each source it asks to read, up to read's capacity (past it, a
+// repeated source costs a read, never an allocation). A published window is
+// open, so no clock is read here.
+func (r *Router) dualRead(st *ringState, pos, key uint64, read []int) (uint64, bool) {
 	for i := range st.windows {
 		w := &st.windows[i]
-		if w.src < 0 || w.src == queried || !w.cover.contains(pos) {
+		if w.src < 0 || slices.Contains(read, w.src) || !w.cover.contains(pos) {
 			continue
 		}
-		if now.IsZero() {
-			now = time.Now()
-		}
-		if now.After(w.until) {
-			continue
+		if len(read) < cap(read) {
+			read = append(read, w.src)
 		}
 		r.dualReads.Inc()
 		v, ok, err := r.queryIdx(st, w.src, key)
@@ -654,9 +668,7 @@ func (r *Router) dualRead(st *ringState, pos, key uint64, owner, queried int) (u
 		}
 		r.dualHits.Inc()
 		r.hits.Inc()
-		if owner != w.src {
-			_ = r.updateIdx(st, owner, key, v) // warm the new owner; best-effort
-		}
+		_ = r.updateIdx(st, read[0], key, v) // warm the new owner; best-effort
 		return v, true
 	}
 	return 0, false
@@ -679,10 +691,22 @@ func (r *Router) Update(key, val uint64) error {
 	if st.ring.Size() == 0 {
 		return ErrNoNodes
 	}
+	return r.update(st, -1, key, val)
+}
+
+// update is Update's write of key → val in st, a non-empty ring. owner is
+// the slot of key's owner when the caller has already routed a key that is
+// not hot (GetOrLoad's install, from its query), or -1 to route here.
+func (r *Router) update(st *ringState, owner int, key, val uint64) error {
 	r.updates.Inc()
-	pos := st.ring.Pos(key)
-	if r.replicas() == 1 || !r.hot.Hot(key) {
-		owner := st.ring.OwnerIdxAt(pos)
+	var pos uint64
+	if owner < 0 {
+		pos = st.ring.Pos(key)
+		if !r.hot.Hot(key) {
+			owner = st.ring.OwnerIdxAt(pos)
+		}
+	}
+	if owner >= 0 {
 		err := r.updateIdx(st, owner, key, val)
 		if err != nil && r.parkHint(st.ids[owner], key, val, err) {
 			return ErrHinted
@@ -737,13 +761,20 @@ func isDownClass(err error) bool {
 // from the backing store wholesale. With a Shedder configured the shed is
 // arbitrated at PriLow (light pressure lets loads through); without one
 // every such miss is shed.
+//
+// The key is routed once: the install reuses the query's state and owner
+// slot, and routes again only when a membership change swapped the state
+// during load, so it lands exactly where Update would put it.
 func (r *Router) GetOrLoad(key uint64, load func(key uint64) (uint64, error)) (uint64, error) {
-	v, ok, err := r.Query(key)
+	st := r.state.Load()
+	if st.ring.Size() == 0 {
+		return 0, ErrNoNodes
+	}
+	r.queries.Inc()
+	r.hot.Touch(key)
+	v, ok, owner, err := r.query(st, key)
 	if ok {
 		return v, nil
-	}
-	if errors.Is(err, ErrNoNodes) {
-		return 0, err
 	}
 	if err != nil && r.degraded.Load() {
 		// The miss is unreachability, not absence — the owner may well hold
@@ -757,7 +788,12 @@ func (r *Router) GetOrLoad(key uint64, load func(key uint64) (uint64, error)) (u
 	if err != nil {
 		return 0, err
 	}
-	_ = r.Update(key, v)
+	if cur := r.state.Load(); cur != st {
+		st, owner = cur, -1
+	}
+	if st.ring.Size() > 0 {
+		_ = r.update(st, owner, key, v)
+	}
 	return v, nil
 }
 
@@ -996,15 +1032,14 @@ func (r *Router) execute(peers map[string]Peer, transfers []Transfer, skip strin
 	return windows
 }
 
-// swap publishes the new membership, carrying over unexpired windows and
-// pruning tombstone peers no window references anymore. Caller holds r.mu.
+// swap publishes the new membership with the windows still open, new and
+// carried over, prunes tombstone peers no window references anymore, and
+// points the expiry timer at the earliest deadline left. Caller holds r.mu.
 func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows []dualWindow) {
 	now := time.Now()
-	for _, w := range st.windows {
-		if now.Before(w.until) {
-			windows = append(windows, w)
-		}
-	}
+	windows = slices.DeleteFunc(append(windows, st.windows...), func(w dualWindow) bool {
+		return !now.Before(w.until)
+	})
 	// Tombstones: peers out of the ring stay only while a window needs them.
 	for id := range peers {
 		if containsStr(next.Members(), id) {
@@ -1025,6 +1060,7 @@ func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows 
 	ns.index(r.gate)
 	r.state.Store(ns)
 	r.nodesGauge.Set(float64(next.Size()))
+	r.armExpiry(windows, now)
 	// Handles the router dialed itself die with their membership: once a
 	// resolved peer is out of the ring and past its windows, close it.
 	for id, p := range r.owned {
@@ -1035,23 +1071,37 @@ func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows 
 	}
 }
 
-// pruneWindows drops expired windows (and with them, stale tombstones).
-func (r *Router) pruneWindows() {
-	st := r.state.Load()
-	now := time.Now()
-	expired := false
-	for _, w := range st.windows {
-		if now.After(w.until) {
-			expired = true
-			break
+// armExpiry points the expiry timer at the earliest deadline among windows,
+// or stops it when there are none. One timer serves every window, so each
+// ends at its deadline whether or not the heartbeat runs. Caller holds r.mu.
+func (r *Router) armExpiry(windows []dualWindow, now time.Time) {
+	if len(windows) == 0 {
+		if r.expiry != nil {
+			r.expiry.Stop()
 		}
-	}
-	if !expired {
 		return
 	}
+	first := windows[0].until
+	for _, w := range windows[1:] {
+		if w.until.Before(first) {
+			first = w.until
+		}
+	}
+	if r.expiry == nil {
+		// goBG fences the callback, so Close waits for one in flight.
+		r.expiry = time.AfterFunc(first.Sub(now), func() { r.goBG(r.expireWindows) })
+		return
+	}
+	r.expiry.Reset(first.Sub(now))
+}
+
+// expireWindows is the expiry timer's work: it republishes the state
+// without the windows past their deadline, and so without the tombstones
+// only they read from; swap re-arms the timer for the next deadline.
+func (r *Router) expireWindows() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st = r.state.Load()
+	st := r.state.Load()
 	r.swap(st, st.ring, clonePeers(st.peers), nil)
 }
 
@@ -1103,7 +1153,6 @@ func (r *Router) heartbeatTick() {
 		}
 	}
 	r.refreshDegraded()
-	r.pruneWindows()
 }
 
 // gossipTick runs the membership side of one heartbeat round: exchange

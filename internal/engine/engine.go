@@ -189,6 +189,11 @@ type Engine struct {
 	// pay the span cost on a fraction of batches instead of all of them.
 	spanTick atomic.Uint64
 
+	// start is the write clock's origin; clocked says whether any shard's
+	// policy reads update time (policy.TimeReader). Both are fixed by New.
+	start   time.Time
+	clocked bool
+
 	lifeMu   sync.RWMutex
 	closed   bool
 	draining atomic.Bool
@@ -213,6 +218,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		route:  hashing.New(cfg.Seed ^ routeSalt),
 		shards: make([]*shard, cfg.Shards),
+		start:  time.Now(),
 	}
 	e.pool.New = func() any { return make([]Op, 0, cfg.BatchSize) }
 	if r := cfg.Obs; r != nil {
@@ -233,6 +239,9 @@ func New(cfg Config) (*Engine, error) {
 		// capabilities are detected on the wrapped cache — Synchronized
 		// forwards them — so the writer's batch path survives wrapping.
 		c = policy.Synchronize(c)
+		if tr, ok := c.(policy.TimeReader); ok && tr.ReadsTime() {
+			e.clocked = true
+		}
 		bu, _ := c.(policy.BatchUpdater)
 		ebu, _ := c.(policy.EvictBatchUpdater)
 		s := &shard{
@@ -429,17 +438,30 @@ func (e *Engine) queryAt(i int, k uint64) (uint64, policy.Token, bool) {
 	return v, tok, ok
 }
 
+// Now is the engine's write clock, the time to stamp on an Op: the time
+// since New when some shard's policy reads update time (policy.TimeReader;
+// today only the timeout policy), and 0 otherwise. Every writer to one
+// engine shares it, and writers to a P4LRU engine read no clock at all.
+func (e *Engine) Now() time.Duration {
+	if !e.clocked {
+		return 0
+	}
+	return time.Since(e.start)
+}
+
 // Apply performs one synchronous Update on k's home shard, bypassing the
 // queue, and returns the policy's Result. Ordering against queued batches
 // in flight on the same shard is unspecified.
 func (e *Engine) Apply(op Op) policy.Result {
 	s := e.shards[e.ShardFor(op.Key)]
 	s.mu.Lock()
+	// Deferred, as in applyBatch, so a panicking policy or OnEvict hook
+	// cannot strand the shard lock when the caller recovers.
+	defer s.mu.Unlock()
 	res := s.cache.Update(op.Key, op.Value, op.Token, op.Now)
 	if res.Evicted && e.cfg.OnEvict != nil {
 		e.cfg.OnEvict(res.EvictedKey, res.EvictedValue)
 	}
-	s.mu.Unlock()
 	s.ops.Inc()
 	return res
 }

@@ -504,3 +504,32 @@ func BenchmarkApplyBatch(b *testing.B) {
 		e.ApplyBatch(ops)
 	}
 }
+
+// TestNowRunsOnlyForTimePolicies: the write clock runs only when a shard's
+// policy reads update time. The timeout policy does, and reaches the engine
+// through the Synchronized wrapper. A flat P4LRU core and the wrapped ideal
+// LRU do not, so writers to them stamp 0.
+func TestNowRunsOnlyForTimePolicies(t *testing.T) {
+	for _, kind := range []policy.Kind{policy.KindP4LRU3, policy.KindIdeal} {
+		e, err := NewFromSpec(policy.Spec{Kind: kind, MemBytes: 64 << 10}, Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+		if got := e.Now(); got != 0 {
+			t.Errorf("%s engine: Now() = %v, want 0", kind, got)
+		}
+		e.Close()
+	}
+	e, err := NewFromSpec(policy.Spec{Kind: policy.KindTimeout, MemBytes: 64 << 10}, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	time.Sleep(time.Millisecond)
+	a := e.Now()
+	time.Sleep(time.Millisecond)
+	if b := e.Now(); a < time.Millisecond || b <= a {
+		t.Fatalf("timeout engine: Now() read %v then %v, want a clock running since New", a, b)
+	}
+}

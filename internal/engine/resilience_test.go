@@ -263,3 +263,41 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal("RestoreSnapshot accepted a truncated image")
 	}
 }
+
+// TestApplyPanicReleasesShardLock: a policy panic inside Apply that the
+// caller recovers must not strand the shard mutator lock. The next Apply on
+// the same shard completes, and so does Close.
+func TestApplyPanicReleasesShardLock(t *testing.T) {
+	const poison = uint64(0xdead)
+	e, err := New(Config{
+		Shards: 1, Block: true,
+		NewCache: func(int) policy.Cache {
+			return &panicCache{Cache: policy.NewP4LRU(3, 64, 1, nil), poison: poison}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Apply of the poisoned key did not panic")
+			}
+		}()
+		e.Apply(Op{Key: poison})
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Apply(Op{Key: 7, Value: 70})
+		e.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Apply after a recovered panic is still blocked: the shard lock was stranded")
+	}
+	if v, _, ok := e.Query(7); !ok || v != 70 {
+		t.Fatalf("Query(7) = (%d, %v), want (70, true)", v, ok)
+	}
+}

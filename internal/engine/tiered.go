@@ -35,7 +35,6 @@ import (
 type Tiered struct {
 	*Engine
 	loader *backing.Loader
-	epoch  time.Time
 }
 
 // NewTiered builds the pairing. cfg.Fill is chained, not replaced: the
@@ -43,10 +42,10 @@ type Tiered struct {
 // the batch path, tolerating drop-mode shedding), then calls any
 // caller-supplied Fill.
 func NewTiered(e *Engine, store backing.Store, cfg backing.LoaderConfig) *Tiered {
-	t := &Tiered{Engine: e, epoch: time.Now()}
+	t := &Tiered{Engine: e}
 	userFill := cfg.Fill
 	cfg.Fill = func(key, val uint64) {
-		t.Engine.Submit(Op{Key: key, Value: val, Token: policy.NoToken, Now: time.Since(t.epoch)})
+		t.Engine.Submit(Op{Key: key, Value: val, Token: policy.NoToken, Now: t.Engine.Now()})
 		if userFill != nil {
 			userFill(key, val)
 		}

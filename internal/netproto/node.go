@@ -40,7 +40,6 @@ type NodeServer struct {
 	// identically on every node or range-filtered snapshots would slice
 	// different key sets on different peers.
 	posHash hashing.Hash
-	epoch   time.Time
 	gossip  func(in []MemberDigest) []MemberDigest
 
 	udp *net.UDPConn
@@ -96,7 +95,6 @@ func NewNodeServer(addr string, cfg NodeConfig) (*NodeServer, error) {
 	s := &NodeServer{
 		eng:     cfg.Engine,
 		posHash: hashing.New(cfg.RingSeed),
-		epoch:   time.Now(),
 		gossip:  cfg.Gossip,
 		udp:     udp,
 		tcp:     tcp,
@@ -192,7 +190,7 @@ func (s *NodeServer) udpLoop() {
 				Key:   msg.Key,
 				Value: msg.CachedIndex,
 				Token: policy.NoToken,
-				Now:   time.Since(s.epoch),
+				Now:   s.eng.Now(),
 			})
 			// Ack strictly after Apply returned: acked ⇒ applied.
 			putHeader(buf, MsgUpdateAck, 0, msg.Key, 0)

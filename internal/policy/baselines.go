@@ -45,6 +45,9 @@ func NewTimeout(buckets int, threshold time.Duration, seed uint64, merge MergeFu
 // Name implements Cache.
 func (c *Timeout) Name() string { return "timeout" }
 
+// ReadsTime implements TimeReader: an entry's age decides its replacement.
+func (c *Timeout) ReadsTime() bool { return true }
+
 // Query implements Cache.
 func (c *Timeout) Query(k uint64) (uint64, Token, bool) {
 	i := c.hash.index(k, len(c.keys))
@@ -299,4 +302,6 @@ var (
 	_ Cache = (*Timeout)(nil)
 	_ Cache = (*Elastic)(nil)
 	_ Cache = (*Coco)(nil)
+
+	_ TimeReader = (*Timeout)(nil)
 )

@@ -80,6 +80,14 @@ type ConcurrentReader interface {
 	ConcurrentQuery() bool
 }
 
+// TimeReader is an optional Cache capability: a policy whose replacement
+// decisions read Update's now argument returns true. Only Timeout does, and
+// Synchronized forwards its inner cache's answer. The serving engine reads
+// its write clock only for a cache that reads time.
+type TimeReader interface {
+	ReadsTime() bool
+}
+
 // ---------------------------------------------------------------------------
 // P4LRU family
 // ---------------------------------------------------------------------------

@@ -53,6 +53,12 @@ func (s *Synchronized) Query(k uint64) (uint64, Token, bool) {
 // engine) need no lock of their own.
 func (s *Synchronized) ConcurrentQuery() bool { return true }
 
+// ReadsTime implements TimeReader by forwarding the inner cache's answer.
+func (s *Synchronized) ReadsTime() bool {
+	tr, ok := s.inner.(TimeReader)
+	return ok && tr.ReadsTime()
+}
+
 // Update implements Cache under the write lock.
 func (s *Synchronized) Update(k, v uint64, tok Token, now time.Duration) Result {
 	s.mu.Lock()
@@ -119,4 +125,5 @@ var (
 	_ ConcurrentReader  = (*Synchronized)(nil)
 	_ BatchUpdater      = (*Synchronized)(nil)
 	_ EvictBatchUpdater = (*Synchronized)(nil)
+	_ TimeReader        = (*Synchronized)(nil)
 )
