@@ -2,9 +2,9 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_16.json
+BENCH_OUT ?= BENCH_18.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_15.json
+BENCH_BASE ?= BENCH_16.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),

@@ -138,7 +138,7 @@ func startConsole(eng *engine.Engine, tracer *span.Tracer, reg *obs.Registry,
 		// constant memory, no stored samples, per the quantile package.
 		capP50, capP99 := quantile.New(0.5), quantile.New(0.99)
 		var lastCapID uint64
-		var xs, ys []float64 // throughput sparkline, last 60 frames
+		var xs, ys []float64             // throughput sparkline, last 60 frames
 		fmt.Fprint(os.Stderr, "\033[2J") // clear once; frames repaint from home
 		tick := time.NewTicker(500 * time.Millisecond)
 		defer tick.Stop()

@@ -4,7 +4,7 @@ import "fmt"
 
 // FlatSeries is the series-connection technique (§3.2) over flat cores: L
 // seqlock-versioned flat arrays linked in series, the serving counterpart
-// of Series exactly as FlatArray3 is the serving counterpart of Array. The
+// of Series exactly as FlatArray is the serving counterpart of Array. The
 // level structure, per-level hash seeds and the query/reply split are
 // identical to Series (the differential tests pin this), so LruIndex-style
 // deployments keep their replacement behaviour while gaining the flat
@@ -17,7 +17,7 @@ import "fmt"
 // that window (exactly as a packet racing a reply on the switch can), but
 // never observes a torn unit or a value the key did not hold.
 type FlatSeries struct {
-	levels []FlatCore
+	levels []*FlatArray
 }
 
 // NewFlatSeries builds a series of `levels` flat arrays of unit capacity
@@ -29,9 +29,9 @@ func NewFlatSeries(unitCap, levels, numUnits int, seed uint64, merge MergeFunc[u
 	if levels < 1 {
 		panic(fmt.Sprintf("lru: series with %d levels", levels))
 	}
-	s := &FlatSeries{levels: make([]FlatCore, levels)}
+	s := &FlatSeries{levels: make([]*FlatArray, levels)}
 	for i := range s.levels {
-		s.levels[i] = NewFlatCore(unitCap, numUnits, seed+uint64(i)*0x9e3779b9, merge)
+		s.levels[i] = NewFlatArray(unitCap, numUnits, seed+uint64(i)*0x9e3779b9, merge)
 	}
 	return s
 }
@@ -39,8 +39,8 @@ func NewFlatSeries(unitCap, levels, numUnits int, seed uint64, merge MergeFunc[u
 // Levels returns the number of series-connected arrays.
 func (s *FlatSeries) Levels() int { return len(s.levels) }
 
-// Level returns the i-th flat core (0-based).
-func (s *FlatSeries) Level(i int) FlatCore { return s.levels[i] }
+// Level returns the i-th flat array (0-based).
+func (s *FlatSeries) Level(i int) *FlatArray { return s.levels[i] }
 
 // UnitCap returns the per-unit capacity of the levels.
 func (s *FlatSeries) UnitCap() int { return s.levels[0].UnitCap() }

@@ -4,16 +4,17 @@ import "sync/atomic"
 
 // Seqlock protocol of the flat cores.
 //
-// Every flat array keeps one uint32 word per unit:
+// A FlatArray keeps one uint32 word per unit:
 //
-//	bits 0–7  : the packed state byte (occupancy + cache-state code, in the
-//	            per-capacity layout each core documents)
+//	bits 0–7  : the meta byte — the cache-state code in bits 0–4 and the
+//	            occupancy in bits 5–7, one layout for every width (see
+//	            FlatArray)
 //	bits 8–31 : the seqlock version; bit 8 doubles as the in-flight marker
 //
 // The shard writer brackets every unit mutation with two version stores:
 // seqBegin sets bit 8 (the version goes odd), the key/value registers are
 // rewritten through seqStore64, and seqPublish stores the final word — the
-// version advanced past even again, with the successor state byte folded in.
+// version advanced past even again, with the successor meta byte folded in.
 // A reader snapshots the word, rejects it if the in-flight bit is set, reads
 // the unit's registers, and re-reads the word: any concurrent mutation makes
 // the second read differ (odd, or a later version), so the reader retries
@@ -48,7 +49,7 @@ const (
 	flatSeqOdd = 1 << 8
 	// flatSeqStep is one full begin+publish version advance.
 	flatSeqStep = 2 << 8
-	// flatMetaMask extracts the packed state byte from a seqlock word.
+	// flatMetaMask extracts the meta byte from a seqlock word.
 	flatMetaMask = 0xff
 	// seqSpinMask throttles reader retry loops: after every 64 failed
 	// snapshot attempts the reader yields, so a reader pinned to the

@@ -19,7 +19,7 @@ func hammerVal(k uint64) uint64 { return k*0x9E3779B97F4A7C15 + 1 }
 // every observed hit carries the value its key actually held. Run under
 // -race this also proves the seqlock protocol is explicit to the race
 // detector (the portable build's atomic stores).
-func hammerCore(t *testing.T, core FlatCore) {
+func hammerCore(t *testing.T, core *FlatArray) {
 	t.Helper()
 	const (
 		readers   = 4
@@ -103,7 +103,7 @@ func hammerCore(t *testing.T, core FlatCore) {
 func TestFlatHammerConcurrentReaders(t *testing.T) {
 	for _, unitCap := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("unitcap=%d", unitCap), func(t *testing.T) {
-			hammerCore(t, NewFlatCore(unitCap, 1<<8, 1, nil))
+			hammerCore(t, NewFlatArray(unitCap, 1<<8, 1, nil))
 		})
 	}
 }

@@ -122,6 +122,51 @@ func TestServerSurvivesCraftedCachedIndex(t *testing.T) {
 	}
 }
 
+// TestSwitchSurvivesForgedReplyLevel sends the switch's server-facing
+// socket, which takes replies from any sender, a reply whose cached_flag
+// names no level of the switch's two-level series. One such datagram used
+// to reach the flat series' range panic and kill the process. The reply
+// must be applied as a miss reply, inserting at level 1, and the switch
+// must keep answering queries.
+func TestSwitchSurvivesForgedReplyLevel(t *testing.T) {
+	_, sw := startStack(t, 1000, 2, 64)
+	conn, err := net.DialUDP("udp", nil, sw.serverConns[0].UDP().LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	forged := Message{Type: MsgReply, CachedFlag: 9, Key: 5, CachedIndex: 32}
+	if _, err := conn.Write(forged.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if idx, tok, ok := sw.Engine().Query(5); ok {
+			if idx != 32 || tok.Level() != 1 {
+				t.Fatalf("forged reply cached index %d at level %d, want 32 at level 1", idx, tok.Level())
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("forged reply never applied")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cl, err := NewClient(sw.Addr(), ClientConfig{Items: 1000, Skew: 1.1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := cl.Query(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Valid {
+		t.Fatal("query after the forged reply returned a bad value")
+	}
+}
+
 // TestSwitchWarmRestart snapshots a warm switch cache and restores it into a
 // fresh switch of the same geometry: the restart comes back with a non-empty
 // cache whose indexes still resolve to correct values (no stale serving).

@@ -91,6 +91,12 @@ func TestSwitchSpans(t *testing.T) {
 		}
 	}
 
+	// The switch finishes a span only after WriteBatch has delivered the
+	// packet, so the last one may still be open when the client holds its
+	// reply; Close waits for both loops.
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
 	var queryRecs, hitRecs, replyRecs int
 	for _, rec := range tr.Snapshot() {
 		switch rec.Kind {

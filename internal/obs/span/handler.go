@@ -31,8 +31,8 @@ type RecordJSON struct {
 
 // OpsDump is the /debug/ops response body.
 type OpsDump struct {
-	Recorded      uint64       `json:"recorded"`       // spans finished since start
-	Captured      uint64       `json:"captured"`       // spans written to rings
+	Recorded      uint64       `json:"recorded"` // spans finished since start
+	Captured      uint64       `json:"captured"` // spans written to rings
 	TailThreshold float64      `json:"tail_threshold_seconds"`
 	Ops           []RecordJSON `json:"ops"` // slowest first
 }

@@ -44,8 +44,9 @@ func (c *FlatSeries) Query(k uint64) (uint64, Token, bool) {
 func (c *FlatSeries) ConcurrentQuery() bool { return true }
 
 // Update implements Cache: tok is the level token from the matching Query.
+// A token naming no level is treated as NoToken (see Token.levelIn).
 func (c *FlatSeries) Update(k, v uint64, tok Token, _ time.Duration) Result {
-	return fromLRU(c.s.Reply(k, v, tok.Level()))
+	return fromLRU(c.s.Reply(k, v, tok.levelIn(c.s.Levels())))
 }
 
 // UpdateBatch implements BatchUpdater. The series reply path is inherently
@@ -54,7 +55,7 @@ func (c *FlatSeries) Update(k, v uint64, tok Token, _ time.Duration) Result {
 // dispatch per batch instead of one per op on the engine's write path.
 func (c *FlatSeries) UpdateBatch(ops []Op) {
 	for i := range ops {
-		c.s.Reply(ops[i].Key, ops[i].Value, ops[i].Token.Level())
+		c.s.Reply(ops[i].Key, ops[i].Value, ops[i].Token.levelIn(c.s.Levels()))
 	}
 }
 
@@ -62,7 +63,7 @@ func (c *FlatSeries) UpdateBatch(ops []Op) {
 // the entry expelled from the last level, which is the series' eviction.
 func (c *FlatSeries) UpdateBatchEvict(ops []Op, onEvict func(key, val uint64)) {
 	for i := range ops {
-		r := c.s.Reply(ops[i].Key, ops[i].Value, ops[i].Token.Level())
+		r := c.s.Reply(ops[i].Key, ops[i].Value, ops[i].Token.levelIn(c.s.Levels()))
 		if r.Evicted {
 			onEvict(r.EvictedKey, r.EvictedValue)
 		}
@@ -77,7 +78,3 @@ func (c *FlatSeries) Capacity() int { return c.s.Capacity() }
 
 // Range implements Cache.
 func (c *FlatSeries) Range(fn func(k, v uint64) bool) { c.s.Range(fn) }
-
-// Flat exposes the underlying flat series (for differential tests and the
-// duplication diagnostics).
-func (c *FlatSeries) Flat() *lru.FlatSeries { return c.s }

@@ -21,7 +21,7 @@ func TestFlatP4LRU3MatchesGeneric(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const units = 128
-			flat := NewFlatP4LRU3(units, 3, tc.merge)
+			flat := NewFlatP4LRU(3, units, 3, tc.merge)
 			gen := NewP4LRU(3, units, 3, tc.merge)
 			if flat.Capacity() != gen.Capacity() {
 				t.Fatalf("capacity diverged: flat %d generic %d", flat.Capacity(), gen.Capacity())
@@ -67,8 +67,8 @@ func TestFlatP4LRU3MatchesGeneric(t *testing.T) {
 // equivalent Update loop.
 func TestFlatP4LRU3UpdateBatchMatchesLoop(t *testing.T) {
 	const units = 64
-	batched := NewFlatP4LRU3(units, 9, nil)
-	looped := NewFlatP4LRU3(units, 9, nil)
+	batched := NewFlatP4LRU(3, units, 9, nil)
+	looped := NewFlatP4LRU(3, units, 9, nil)
 	r := rand.New(rand.NewSource(17))
 	for round := 0; round < 40; round++ {
 		ops := make([]Op, r.Intn(300)+1)
@@ -94,7 +94,7 @@ func TestFlatP4LRU3UpdateBatchMatchesLoop(t *testing.T) {
 
 // TestFlatP4LRU3ZeroAlloc pins 0 allocs/op on the policy hot paths.
 func TestFlatP4LRU3ZeroAlloc(t *testing.T) {
-	p := NewFlatP4LRU3(1<<10, 1, nil)
+	p := NewFlatP4LRU(3, 1<<10, 1, nil)
 	ops := make([]Op, 256)
 	for i := range ops {
 		ops[i] = Op{Key: uint64(i * 2654435761), Value: uint64(i)}
@@ -129,9 +129,9 @@ func TestSpecBuildsFlatCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, ok := c.(*FlatP4LRU3)
+	flat, ok := c.(*FlatP4LRU)
 	if !ok {
-		t.Fatalf("p4lru3 spec built %T, want *FlatP4LRU3", c)
+		t.Fatalf("p4lru3 spec built %T, want *FlatP4LRU", c)
 	}
 	if _, ok := c.(BatchUpdater); !ok {
 		t.Fatal("flat core does not implement BatchUpdater")
@@ -156,9 +156,7 @@ func TestSpecBuildsFlatCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch c.(type) {
-		case *FlatP4LRU2, *FlatP4LRU4:
-		default:
+		if _, ok := c.(*FlatP4LRU); !ok {
 			t.Fatalf("%s spec built %T, want a flat core", tc.kind, c)
 		}
 		if c.Name() != tc.want {

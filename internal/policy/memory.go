@@ -77,17 +77,13 @@ func NewForMemory(kind Kind, memBytes int, opt Options) Cache {
 	switch kind {
 	case KindP4LRU1:
 		return NewP4LRU(1, atLeast1(memBytes/bytesPerEntryKV), opt.Seed, opt.Merge)
-	case KindP4LRU2:
-		// Like KindP4LRU3: the deployed configuration runs on the flat
-		// struct-of-arrays core; NewP4LRU(2, ...) remains the generic oracle.
-		return NewFlatP4LRU2(atLeast1(memBytes/(2*bytesPerEntryKV+bytesPerUnitMeta)), opt.Seed, opt.Merge)
-	case KindP4LRU3:
-		// The deployed configuration runs on the flat struct-of-arrays core;
-		// NewP4LRU(3, ...) remains the generic oracle the differential tests
-		// compare against. Same unit count, seed and semantics.
-		return NewFlatP4LRU3(atLeast1(memBytes/(3*bytesPerEntryKV+bytesPerUnitMeta)), opt.Seed, opt.Merge)
-	case KindP4LRU4:
-		return NewFlatP4LRU4(atLeast1(memBytes/(4*bytesPerEntryKV+bytesPerUnitMeta)), opt.Seed, opt.Merge)
+	case KindP4LRU2, KindP4LRU3, KindP4LRU4:
+		// The deployed configurations run on the flat struct-of-arrays core;
+		// NewP4LRU remains the generic oracle the differential tests compare
+		// against. Same unit count, seed and semantics. The kind's trailing
+		// digit is the unit capacity.
+		n := int(kind[len(kind)-1] - '0')
+		return NewFlatP4LRU(n, atLeast1(memBytes/(n*bytesPerEntryKV+bytesPerUnitMeta)), opt.Seed, opt.Merge)
 	case KindIdeal:
 		return NewIdeal(atLeast1(memBytes/bytesPerEntryKV), opt.Merge)
 	case KindTimeout:

@@ -72,7 +72,7 @@ type Cache interface {
 // ConcurrentReader is an optional Cache capability: a policy whose Query is
 // safe to run concurrently with a single writer's Update returns true, and
 // the serving engine then queries it with no lock at all. The flat cores
-// (FlatP4LRU2/3/4, FlatSeries) implement it via their per-unit seqlocks, as
+// (FlatP4LRU, FlatSeries) implement it via their per-unit seqlocks, as
 // does Synchronized, which takes its own read lock internally. The generic
 // interface-based policies mutate multi-word buckets non-atomically and do
 // not implement it — the engine wraps those in Synchronized.
@@ -181,8 +181,9 @@ func (c *Series) Query(k uint64) (uint64, Token, bool) {
 }
 
 // Update implements Cache: tok is the level token from the matching Query.
+// A token naming no level is treated as NoToken (see Token.levelIn).
 func (c *Series) Update(k, v uint64, tok Token, _ time.Duration) Result {
-	return fromLRU(c.s.Reply(k, v, tok.Level()))
+	return fromLRU(c.s.Reply(k, v, tok.levelIn(c.s.Levels())))
 }
 
 // Len implements Cache.

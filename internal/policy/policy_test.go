@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -241,6 +242,44 @@ func TestSeriesPolicy(t *testing.T) {
 	}
 	if c.Capacity() != 4*16*3 {
 		t.Errorf("capacity = %d", c.Capacity())
+	}
+}
+
+// TestSeriesTreatsUnknownLevelAsMiss hands both series policies tokens
+// that name no level, as a forged cached_flag on the wire would. Each must
+// be applied as NoToken — insert at level 1 and cascade — through Update and
+// the batch paths alike, instead of reaching the lru series' range panic.
+func TestSeriesTreatsUnknownLevelAsMiss(t *testing.T) {
+	const levels = 4
+	for _, newCache := range []func() Cache{
+		func() Cache { return NewSeries(levels, 16, 1, nil) },
+		func() Cache { return NewFlatSeries(3, levels, 16, 1, nil) },
+	} {
+		for _, tok := range []Token{levels + 1, 255} {
+			c, ref := newCache(), newCache()
+			name := fmt.Sprintf("%T token %d", c, tok)
+			for k := uint64(1); k <= 400; k++ {
+				if got, want := c.Update(k, k, tok, 0), ref.Update(k, k, NoToken, 0); got != want {
+					t.Fatalf("%s: Update(%d) = %+v, want %+v", name, k, got, want)
+				}
+			}
+			if v, lvl, ok := c.Query(400); !ok || v != 400 || lvl != 1 {
+				t.Fatalf("%s: Query(400) = (%d, %d, %v), want (400, 1, true)", name, v, lvl, ok)
+			}
+			fs, ok := c.(*FlatSeries)
+			if !ok {
+				continue // the generic series has no batch paths
+			}
+			ops := []Op{{Key: 1000, Value: 1, Token: tok}, {Key: 1001, Value: 2, Token: tok}}
+			fs.UpdateBatch(ops[:1])
+			fs.UpdateBatchEvict(ops[1:], func(uint64, uint64) {})
+			for _, op := range ops {
+				if v, lvl, ok := c.Query(op.Key); !ok || v != op.Value || lvl != 1 {
+					t.Fatalf("%s: batched Query(%d) = (%d, %d, %v), want (%d, 1, true)",
+						name, op.Key, v, lvl, ok, op.Value)
+				}
+			}
+		}
 	}
 }
 

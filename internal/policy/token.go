@@ -26,3 +26,15 @@ func (t Token) Cached() bool { return t != NoToken }
 // Level returns the 1-based series level the token encodes, or 0 for
 // NoToken. For non-series policies this is always 0.
 func (t Token) Level() int { return int(t) }
+
+// levelIn returns the level t names in a series of the given depth, or 0
+// (NoToken) when it names none. A reply's token arrives from the wire as
+// cached_flag, so a forged or corrupt one is treated as absent — the reply
+// inserts at level 1 like any miss — instead of reaching the lru series'
+// range panic, which stays the contract for direct callers.
+func (t Token) levelIn(levels int) int {
+	if l := t.Level(); l <= levels {
+		return l
+	}
+	return NoToken.Level()
+}
