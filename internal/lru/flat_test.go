@@ -270,110 +270,121 @@ func TestFlatTransitionsExhaustive(t *testing.T) {
 	}
 }
 
-// TestFlatBatchMatchesScalar pins QueryBatch/UpdateBatch to the scalar
-// paths at every width: a batch walk must be exactly equivalent to the
-// loop of single-key calls it replaces.
-func TestFlatBatchMatchesScalar(t *testing.T) {
-	for _, n := range flatWidths {
-		t.Run(fmt.Sprintf("width=%d", n), func(t *testing.T) {
-			const units = 128
-			batched := NewFlatArray(n, units, 3, nil)
-			scalar := NewFlatArray(n, units, 3, nil)
-			r := rand.New(rand.NewSource(9))
+// TestFlatBatchMatchesScalar pins QueryBatch/UpdateBatch of the 3-wide
+// array to the scalar paths: a batch walk must be exactly equivalent to
+// the loop of single-key calls it replaces.
+func TestFlatBatchMatchesScalar(t *testing.T) { flatBatchMatchesScalar(t, 3) }
 
-			for round := 0; round < 50; round++ {
-				m := r.Intn(200) + 1
-				keys := make([]uint64, m)
-				vals := make([]uint64, m)
-				for i := range keys {
-					keys[i] = uint64(r.Int63n(units*4)) + 1
-					vals[i] = uint64(r.Int63())
-				}
-
-				wantHits, wantEv := 0, 0
-				for i := range keys {
-					res := scalar.Update(keys[i], vals[i])
-					if res.Hit {
-						wantHits++
-					}
-					if res.Evicted {
-						wantEv++
-					}
-				}
-				hits, ev := batched.UpdateBatch(keys, vals)
-				if hits != wantHits || ev != wantEv {
-					t.Fatalf("round %d: UpdateBatch (%d hits, %d ev) != scalar (%d hits, %d ev)",
-						round, hits, ev, wantHits, wantEv)
-				}
-
-				gotV := make([]uint64, m)
-				gotOK := make([]bool, m)
-				batched.QueryBatch(keys, gotV, gotOK)
-				for i, k := range keys {
-					wv, wok := scalar.Lookup(k)
-					if gotV[i] != wv || gotOK[i] != wok {
-						t.Fatalf("round %d: QueryBatch[%d] key %d = (%d,%v), want (%d,%v)",
-							round, i, k, gotV[i], gotOK[i], wv, wok)
-					}
-				}
-			}
-
-			// Same end state.
-			for u := 0; u < units; u++ {
-				if batched.UnitState(u) != scalar.UnitState(u) || batched.UnitLen(u) != scalar.UnitLen(u) {
-					t.Fatalf("unit %d diverged after batched rounds", u)
-				}
-			}
-		})
+// TestFlat24BatchMatchesScalar does the same for the 2- and 4-wide arrays.
+func TestFlat24BatchMatchesScalar(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("width=%d", n), func(t *testing.T) { flatBatchMatchesScalar(t, n) })
 	}
 }
 
-// TestFlatZeroAlloc pins the zero-allocation contract of the hot paths at
-// every width: Update, Lookup, InsertTail and the steady-state batch walks.
-func TestFlatZeroAlloc(t *testing.T) {
-	for _, n := range flatWidths {
-		t.Run(fmt.Sprintf("width=%d", n), func(t *testing.T) {
-			a := NewFlatArray(n, 1<<10, 1, nil)
-			keys := make([]uint64, 256)
-			vals := make([]uint64, 256)
-			oks := make([]bool, 256)
-			r := rand.New(rand.NewSource(2))
-			for i := range keys {
-				keys[i] = uint64(r.Int63n(1 << 12))
-			}
+func flatBatchMatchesScalar(t *testing.T, n int) {
+	const units = 128
+	batched := NewFlatArray(n, units, 3, nil)
+	scalar := NewFlatArray(n, units, 3, nil)
+	r := rand.New(rand.NewSource(9))
 
-			var k uint64
-			if allocs := testing.AllocsPerRun(1000, func() {
-				k++
-				a.Update(k&0xfff, k)
-			}); allocs != 0 {
-				t.Errorf("Update allocates %v/op, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(1000, func() {
-				k++
-				a.Lookup(k & 0xfff)
-			}); allocs != 0 {
-				t.Errorf("Lookup allocates %v/op, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(1000, func() {
-				k++
-				a.InsertTail(k&0xfff, k)
-			}); allocs != 0 {
-				t.Errorf("InsertTail allocates %v/op, want 0", allocs)
-			}
+	for round := 0; round < 50; round++ {
+		m := r.Intn(200) + 1
+		keys := make([]uint64, m)
+		vals := make([]uint64, m)
+		for i := range keys {
+			keys[i] = uint64(r.Int63n(units*4)) + 1
+			vals[i] = uint64(r.Int63())
+		}
 
-			a.UpdateBatch(keys, vals) // grow the batch scratch once
-			if allocs := testing.AllocsPerRun(100, func() {
-				a.UpdateBatch(keys, vals)
-			}); allocs != 0 {
-				t.Errorf("UpdateBatch allocates %v/batch, want 0", allocs)
+		wantHits, wantEv := 0, 0
+		for i := range keys {
+			res := scalar.Update(keys[i], vals[i])
+			if res.Hit {
+				wantHits++
 			}
-			if allocs := testing.AllocsPerRun(100, func() {
-				a.QueryBatch(keys, vals, oks)
-			}); allocs != 0 {
-				t.Errorf("QueryBatch allocates %v/batch, want 0", allocs)
+			if res.Evicted {
+				wantEv++
 			}
-		})
+		}
+		hits, ev := batched.UpdateBatch(keys, vals)
+		if hits != wantHits || ev != wantEv {
+			t.Fatalf("round %d: UpdateBatch (%d hits, %d ev) != scalar (%d hits, %d ev)",
+				round, hits, ev, wantHits, wantEv)
+		}
+
+		gotV := make([]uint64, m)
+		gotOK := make([]bool, m)
+		batched.QueryBatch(keys, gotV, gotOK)
+		for i, k := range keys {
+			wv, wok := scalar.Lookup(k)
+			if gotV[i] != wv || gotOK[i] != wok {
+				t.Fatalf("round %d: QueryBatch[%d] key %d = (%d,%v), want (%d,%v)",
+					round, i, k, gotV[i], gotOK[i], wv, wok)
+			}
+		}
+	}
+
+	// Same end state.
+	for u := 0; u < units; u++ {
+		if batched.UnitState(u) != scalar.UnitState(u) || batched.UnitLen(u) != scalar.UnitLen(u) {
+			t.Fatalf("unit %d diverged after batched rounds", u)
+		}
+	}
+}
+
+// TestFlatZeroAlloc pins the zero-allocation contract of the 3-wide
+// array's hot paths: Update, Lookup, InsertTail and the steady-state batch
+// walks.
+func TestFlatZeroAlloc(t *testing.T) { flatZeroAlloc(t, 3) }
+
+// TestFlat24ZeroAlloc does the same for the 2- and 4-wide arrays.
+func TestFlat24ZeroAlloc(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("width=%d", n), func(t *testing.T) { flatZeroAlloc(t, n) })
+	}
+}
+
+func flatZeroAlloc(t *testing.T, n int) {
+	a := NewFlatArray(n, 1<<10, 1, nil)
+	keys := make([]uint64, 256)
+	vals := make([]uint64, 256)
+	oks := make([]bool, 256)
+	r := rand.New(rand.NewSource(2))
+	for i := range keys {
+		keys[i] = uint64(r.Int63n(1 << 12))
+	}
+
+	var k uint64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		k++
+		a.Update(k&0xfff, k)
+	}); allocs != 0 {
+		t.Errorf("Update allocates %v/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		k++
+		a.Lookup(k & 0xfff)
+	}); allocs != 0 {
+		t.Errorf("Lookup allocates %v/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		k++
+		a.InsertTail(k&0xfff, k)
+	}); allocs != 0 {
+		t.Errorf("InsertTail allocates %v/op, want 0", allocs)
+	}
+
+	a.UpdateBatch(keys, vals) // grow the batch scratch once
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.UpdateBatch(keys, vals)
+	}); allocs != 0 {
+		t.Errorf("UpdateBatch allocates %v/batch, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.QueryBatch(keys, vals, oks)
+	}); allocs != 0 {
+		t.Errorf("QueryBatch allocates %v/batch, want 0", allocs)
 	}
 }
 
