@@ -75,11 +75,13 @@ func BenchmarkClusterRouter(b *testing.B) {
 		}
 	})
 
-	// path=selfheal is path=local with the whole self-healing stack armed:
-	// gossip membership live on the heartbeat plane, the read-repair queue
-	// and arc-digest sweeper running, hinted handoff enabled. The gate holds
-	// the local-owner fast path to the same ≤1.3× / zero-alloc bar — the
-	// robustness machinery must price in at nothing on the hit path.
+	// path=selfheal is path=local with the self-healing machinery a one-node
+	// router can run armed: gossip membership live on the heartbeat plane,
+	// the repair worker running, the hint log in place. HotK and
+	// RepairSweepEvery are set too, but with Replicas at 1 New builds no
+	// hot-key tracker and so starts no sweep. The gate holds the local-owner
+	// fast path to the same ≤1.3× / zero-alloc bar — the robustness
+	// machinery must price in at nothing on the hit path.
 	b.Run("path=selfheal", func(b *testing.B) {
 		e := newFilled(b)
 		res := resident(e)

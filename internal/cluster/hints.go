@@ -7,6 +7,9 @@ import (
 	"github.com/p4lru/p4lru/internal/engine"
 )
 
+// hintsPerPeer bounds each peer's hint log, in distinct keys.
+const hintsPerPeer = 1024
+
 // hintLog parks updates addressed to unreachable peers — hinted handoff.
 // One entry per (peer, key) holding the latest value: hints are idempotent
 // installs, so a key rewritten while its owner is down costs one slot, not
@@ -18,7 +21,10 @@ import (
 // snapshot restored keep-existing: writes the recovered node accepted after
 // it came back are fresher than any parked hint and are never rolled back.
 // The inverse staleness — a partitioned (not dead) node whose old residents
-// beat the hints — is reconciled by the anti-entropy sweep, not the replay.
+// beat the hints — is not the replay's to fix. The anti-entropy sweep reads
+// only hot keys and makes each replica agree with the owner, so it heals a
+// stale replica but copies a stale owner's value; any other stale copy stays
+// until its key is next written or evicted.
 type hintLog struct {
 	mu     sync.Mutex
 	capPer int
@@ -75,9 +81,6 @@ func (h *hintLog) take(id string) map[uint64]uint64 {
 
 // pendingFor reports how many hints are parked for id.
 func (h *hintLog) pendingFor(id string) int {
-	if h == nil {
-		return 0
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ph := h.byPeer[id]
@@ -89,9 +92,6 @@ func (h *hintLog) pendingFor(id string) int {
 
 // pending reports the total parked hints across all peers (the gauge).
 func (h *hintLog) pending() int {
-	if h == nil {
-		return 0
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := 0

@@ -34,9 +34,6 @@ type Peer interface {
 	// with its own (post-merge) view. A node with no membership attached
 	// answers (nil, nil).
 	Gossip(out []netproto.MemberDigest) ([]netproto.MemberDigest, error)
-	// Digest summarizes the node's contents inside arcs as a (count, xor)
-	// pair — the anti-entropy sweep's comparison primitive.
-	Digest(arcs [][2]uint64) (netproto.ArcDigest, error)
 	// Addrs returns the node's advertised plane addresses (UDP ops, TCP
 	// migration), or empty strings for an in-process peer.
 	Addrs() (udp, tcp string)
@@ -164,23 +161,6 @@ func (p *LocalPeer) Gossip(out []netproto.MemberDigest) ([]netproto.MemberDigest
 		return nil, nil
 	}
 	return m.Exchange(out), nil
-}
-
-// Digest implements Peer: count + xor of the engine's residents whose ring
-// position falls inside arcs, matching the node server's computation.
-func (p *LocalPeer) Digest(arcs [][2]uint64) (netproto.ArcDigest, error) {
-	if p.down.Load() {
-		return netproto.ArcDigest{}, ErrPeerDown
-	}
-	var d netproto.ArcDigest
-	p.eng.Range(func(k, v uint64) bool {
-		if arcsContain(arcs, p.hash.Uint64(k)) {
-			d.Pairs++
-			d.XOR ^= netproto.PairDigest(k, v)
-		}
-		return true
-	})
-	return d, nil
 }
 
 // Addrs implements Peer: an in-process node has no wire addresses.

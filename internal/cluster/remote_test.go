@@ -5,8 +5,28 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/netproto"
 )
+
+// newRemoteNode serves a fresh test engine from a loopback NodeServer and
+// dials it. The server and the client close at cleanup; the engine is
+// returned so tests can reach the node behind the router's back.
+func newRemoteNode(t *testing.T) (*netproto.NodeClient, *engine.Engine) {
+	t.Helper()
+	eng := newTestEngine(t)
+	srv, err := netproto.NewNodeServer("127.0.0.1:0", netproto.NodeConfig{Engine: eng, RingSeed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cl, err := netproto.DialNode(srv.UDPAddr(), srv.TCPAddr(), 200*time.Millisecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl, eng
+}
 
 // TestRouterOverRemotePeers runs the router against real NodeServers on
 // loopback — *netproto.NodeClient as the Peer implementation — covering
@@ -18,20 +38,7 @@ func TestRouterOverRemotePeers(t *testing.T) {
 	defer r.Close()
 
 	newNode := func(i int) (string, *netproto.NodeClient) {
-		t.Helper()
-		srv, err := netproto.NewNodeServer("127.0.0.1:0", netproto.NodeConfig{
-			Engine:   newTestEngine(t),
-			RingSeed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-		cl, err := netproto.DialNode(srv.UDPAddr(), srv.TCPAddr(), 200*time.Millisecond, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
+		cl, _ := newRemoteNode(t)
 		return fmt.Sprintf("node-%d", i), cl
 	}
 

@@ -3,11 +3,12 @@ package cluster
 import (
 	"slices"
 	"time"
-
-	"github.com/p4lru/p4lru/internal/netproto"
 )
 
-// Anti-entropy: two mechanisms keep replicas of the hot set convergent.
+// Anti-entropy keeps replicas of the hot set convergent through one repair
+// path with two triggers, the fan read and the sweep. Both read a hot key's
+// copies with queryIdx, the read path's own point read, and both file jobs
+// on one bounded queue that one worker drains through repairOne.
 //
 // Read repair rides the query path. The hot-key fan probes replicas in
 // rotation; when one replica hits after another answered a miss, the miss is
@@ -19,15 +20,16 @@ import (
 // the job may itself be stale by then — and installs the owner's value at
 // the divergent replica.
 //
-// The digest sweep catches what reads can't see: value divergence. A replica
-// that holds a *different* value still answers "hit", so the fan never
-// observes it. Periodically the sweep walks the published hot set and, for
-// each key, compares the owner's arc digest (pair count + xor over the
-// degenerate single-position arc (pos-1, pos]) against each replica's. The
-// arc pins exactly the ring position the key hashes to, so both sides digest
-// the same key set regardless of what else they cache — count or xor
-// disagreement means a missing or divergent copy, and the key is enqueued
-// through the same repair queue.
+// The sweep catches what the fan can't see: value divergence. A replica
+// that holds a *different* value still answers "hit", and the fan stops at
+// the first hit. Periodically the sweep reads every published hot key at its
+// owner and at each replica, and enqueues a repair through the same queue
+// wherever a replica's (hit, value) differs from the owner's.
+
+// repairQueueCap bounds the repair queue, in jobs: room for the jobs of one
+// sweep that finds every replica diverged, at the default HotK of 128 and
+// Replicas up to 3. Past it, jobs are dropped and counted.
+const repairQueueCap = 256
 
 // repairJob names one suspected-divergent copy: key, and the replica to
 // re-fill from the owner.
@@ -39,9 +41,6 @@ type repairJob struct {
 // enqueueRepair offers a job to the bounded queue, never blocking the
 // caller; a full queue drops the job and counts it.
 func (r *Router) enqueueRepair(key uint64, dst string) {
-	if r.repairQ == nil {
-		return
-	}
 	select {
 	case r.repairQ <- repairJob{key: key, dst: dst}:
 		r.repairsQueued.Inc()
@@ -98,7 +97,7 @@ func (r *Router) repairOne(j repairJob) {
 	}
 }
 
-// sweepLoop runs the digest sweep on its configured cadence.
+// sweepLoop runs the sweep on its configured cadence.
 func (r *Router) sweepLoop() {
 	defer close(r.swpDone)
 	t := time.NewTicker(r.cfg.RepairSweepEvery)
@@ -113,10 +112,11 @@ func (r *Router) sweepLoop() {
 	}
 }
 
-// sweepOnce digests every published hot key on its owner and replicas and
-// enqueues repairs for disagreeing copies. Exported through the test
-// build only via the loop; tests with the sweep disabled call it directly
-// for deterministic timing.
+// sweepOnce reads every published hot key at its owner and replicas — one
+// point read per copy — and enqueues a repair for each replica whose (hit,
+// value) differs from the owner's. A copy whose read fails is skipped.
+// Tests with the sweep loop disabled call it directly for deterministic
+// timing.
 func (r *Router) sweepOnce() {
 	st := r.state.Load()
 	if r.hot == nil || st.ring.Size() < 2 {
@@ -128,42 +128,18 @@ func (r *Router) sweepOnce() {
 	}
 	r.sweeps.Inc()
 	for _, key := range keys {
-		pos := st.ring.Pos(key)
-		ids := st.ring.ReplicasAt(pos, r.replicas())
-		if len(ids) < 2 {
-			continue
-		}
-		// pos-1 wraps at 0; arcContains treats from > to as wrapping, so the
-		// arc still pins exactly position pos.
-		arcs := [][2]uint64{{pos - 1, pos}}
-		want, err := r.peerDigest(st, ids[0], arcs)
+		var buf [8]int
+		reps := st.ring.replicaIdxAt(buf[:], st.ring.Pos(key), r.replicas())
+		want, wantOK, err := r.queryIdx(st, reps[0], key)
 		if err != nil {
 			continue
 		}
-		for _, id := range ids[1:] {
-			got, err := r.peerDigest(st, id, arcs)
-			if err != nil {
-				continue
-			}
-			if got != want {
+		for _, m := range reps[1:] {
+			v, ok, err := r.queryIdx(st, m, key)
+			if err == nil && (ok != wantOK || ok && v != want) {
 				r.sweepDiverged.Inc()
-				r.enqueueRepair(key, id)
+				r.enqueueRepair(key, st.ids[m])
 			}
 		}
 	}
-}
-
-// peerDigest runs one Digest call through the member's breaker.
-func (r *Router) peerDigest(st *ringState, id string, arcs [][2]uint64) (netproto.ArcDigest, error) {
-	p := st.peers[id]
-	if p == nil {
-		return netproto.ArcDigest{}, ErrNoNodes
-	}
-	var d netproto.ArcDigest
-	err := r.do(id, func() error {
-		var derr error
-		d, derr = p.Digest(arcs)
-		return derr
-	})
-	return d, err
 }

@@ -74,19 +74,12 @@ type Config struct {
 	// digests are skipped). Handles the router resolves itself are owned by
 	// the router and closed when the member is pruned.
 	Resolver func(netproto.MemberDigest) (Peer, error)
-	// RepairQueue bounds the read-repair queue (0 = 256; negative disables
-	// read repair and the digest sweep).
-	RepairQueue int
 	// RepairRate caps repair installs per second (0 = 128).
 	RepairRate int
-	// RepairSweepEvery is the anti-entropy digest sweep cadence over the
-	// published hot set (0 = 2s; negative disables the sweep, leaving only
-	// read-path repair).
+	// RepairSweepEvery is the anti-entropy sweep cadence over the published
+	// hot set (0 = 2s; negative disables the sweep, leaving only read-path
+	// repair).
 	RepairSweepEvery time.Duration
-	// HintCap bounds each peer's hinted-handoff log (0 = 1024 parked
-	// updates; negative disables hinted handoff — updates to unreachable
-	// owners then fail outright as before).
-	HintCap int
 	// Shedder, when non-nil, arbitrates remote-miss loads while the router
 	// is degraded (majority of peers unreachable): GetOrLoad sheds them at
 	// PriLow instead of stampeding the backing store. nil sheds them all.
@@ -121,17 +114,11 @@ func (c Config) withDefaults() Config {
 			c.SuspectAfter = time.Second
 		}
 	}
-	if c.RepairQueue == 0 {
-		c.RepairQueue = 256
-	}
 	if c.RepairRate <= 0 {
 		c.RepairRate = 128
 	}
 	if c.RepairSweepEvery == 0 {
 		c.RepairSweepEvery = 2 * time.Second
-	}
-	if c.HintCap == 0 {
-		c.HintCap = 1024
 	}
 	if c.Breaker.Obs == nil {
 		c.Breaker.Obs = c.Obs
@@ -223,7 +210,7 @@ type Router struct {
 	hot  *hotKeys
 
 	// member is the router's gossip view of the cluster (nil unless
-	// Config.Gossip); hints is the hinted-handoff log (nil when disabled).
+	// Config.Gossip); hints is the hinted-handoff log.
 	member *Membership
 	hints  *hintLog
 
@@ -270,7 +257,14 @@ type Router struct {
 // Gossip enabled, join one seed and let the digest exchange find the rest).
 func New(cfg Config) *Router {
 	cfg = cfg.withDefaults()
-	r := &Router{cfg: cfg, owned: map[string]Peer{}}
+	r := &Router{
+		cfg:     cfg,
+		owned:   map[string]Peer{},
+		hints:   newHintLog(hintsPerPeer),
+		repairQ: make(chan repairJob, repairQueueCap),
+		repStop: make(chan struct{}),
+		repDone: make(chan struct{}),
+	}
 	// Chain the router's own breaker observer in front of any caller's: the
 	// recovery edge (→ closed) triggers hint replay and suspect refutation,
 	// the trip edge (→ open) feeds the gossip suspect pipeline.
@@ -287,9 +281,6 @@ func New(cfg Config) *Router {
 		// The router is a gossip observer, not a member: it has no self
 		// entry, so it spreads and adopts verdicts but never refutes one.
 		r.member = NewMembership("", "", "")
-	}
-	if cfg.HintCap > 0 {
-		r.hints = newHintLog(cfg.HintCap)
 	}
 	if cfg.HotK > 0 && cfg.Replicas > 1 {
 		// Hot-key tracking only matters when there are successors to
@@ -341,16 +332,11 @@ func New(cfg Config) *Router {
 			})
 		}
 	}
-	if cfg.RepairQueue > 0 {
-		r.repairQ = make(chan repairJob, cfg.RepairQueue)
-		r.repStop = make(chan struct{})
-		r.repDone = make(chan struct{})
-		go r.repairLoop()
-		if cfg.RepairSweepEvery > 0 && r.hot != nil {
-			r.swpStop = make(chan struct{})
-			r.swpDone = make(chan struct{})
-			go r.sweepLoop()
-		}
+	go r.repairLoop()
+	if cfg.RepairSweepEvery > 0 && r.hot != nil {
+		r.swpStop = make(chan struct{})
+		r.swpDone = make(chan struct{})
+		go r.sweepLoop()
 	}
 	if cfg.HeartbeatEvery > 0 {
 		r.hbStop = make(chan struct{})
@@ -375,10 +361,8 @@ func (r *Router) Close() {
 		close(r.swpStop)
 		<-r.swpDone
 	}
-	if r.repStop != nil {
-		close(r.repStop)
-		<-r.repDone
-	}
+	close(r.repStop)
+	<-r.repDone
 	// closed is set, so goBG admits nothing new. The empty critical section
 	// is a barrier: a goBG that read closed=false before the flag flipped
 	// holds bgMu until its Add lands, so the Wait below observes it.
@@ -420,7 +404,7 @@ func (r *Router) Membership() *Membership { return r.member }
 func (r *Router) Degraded() bool { return r.degraded.Load() }
 
 // PendingHints reports how many writes are parked in the hint log awaiting
-// an unreachable peer's recovery (0 when hinted handoff is disabled).
+// an unreachable peer's recovery.
 func (r *Router) PendingHints() int { return r.hints.pending() }
 
 // Ring returns the current ring (immutable).
@@ -447,9 +431,8 @@ func (r *Router) replicas() int {
 // full Allow/Record protocol that owns the half-open probe bookkeeping.
 //
 // do addresses a peer by id through the gate and a closure: it serves the
-// background calls that are not key operations (the sweep's digests,
-// heartbeat pings, gossip). Every Query and Update goes through queryIdx
-// or updateIdx.
+// background calls that are not key operations (heartbeat pings, gossip).
+// Every Query and Update goes through queryIdx or updateIdx.
 func (r *Router) do(id string, f func() error) error {
 	b := r.gate.Peer(id)
 	if b.Live() {
@@ -680,12 +663,11 @@ func (r *Router) dualRead(st *ringState, pos, key uint64, read []int) (uint64, b
 // stale read only until the next fan reaches it, and the owner remains the
 // authority.
 //
-// When the owner is unreachable (breaker open, node mute) and hinted
-// handoff is enabled, the write is parked in the owner's hint log and
-// ErrHinted returned: accepted at reduced durability, replayed when the
-// owner recovers or rerouted if it is confirmed dead. Callers that need the
-// hard ack treat ErrHinted as a failure; callers that want availability
-// treat it as success.
+// When the owner is unreachable (breaker open, node mute), the write is
+// parked in the owner's hint log and ErrHinted returned: accepted at
+// reduced durability, replayed when the owner recovers or rerouted if it is
+// confirmed dead. Callers that need the hard ack treat ErrHinted as a
+// failure; callers that want availability treat it as success.
 func (r *Router) Update(key, val uint64) error {
 	st := r.state.Load()
 	if st.ring.Size() == 0 {
@@ -733,7 +715,7 @@ func (r *Router) update(st *ringState, owner int, key, val uint64) error {
 // hintable — an error from a node that answered means the write was seen
 // and refused, and replaying it later would be wrong.
 func (r *Router) parkHint(id string, key, val uint64, err error) bool {
-	if r.hints == nil || !isDownClass(err) {
+	if !isDownClass(err) {
 		return false
 	}
 	if r.hints.park(id, key, val) {
@@ -912,9 +894,6 @@ func (r *Router) remove(id string, dead bool) error {
 // at (or parks for) the key's new owner. Background — replay competes with
 // live traffic, never blocks the membership change.
 func (r *Router) rerouteHints(id string) {
-	if r.hints == nil {
-		return
-	}
 	pairs := r.hints.take(id)
 	if len(pairs) == 0 {
 		return
@@ -935,7 +914,7 @@ func (r *Router) rerouteHints(id string) {
 // replay re-parks the batch — the breaker that just closed can trip again
 // mid-stream. Background, via goBG. Safe to call with r.mu held.
 func (r *Router) replayHintsFor(id string) {
-	if r.hints == nil || r.hints.pendingFor(id) == 0 {
+	if r.hints.pendingFor(id) == 0 {
 		return
 	}
 	r.goBG(func() {

@@ -2,11 +2,16 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/netproto"
 	"github.com/p4lru/p4lru/internal/obs"
+	"github.com/p4lru/p4lru/internal/policy"
 	"github.com/p4lru/p4lru/internal/resilience"
 )
 
@@ -172,44 +177,145 @@ func TestReadRepairHealsMissingReplica(t *testing.T) {
 }
 
 // TestSweepRepairsValueDivergence: a replica holding a *stale value* answers
-// hits, so the read path never sees the divergence — the arc-digest sweep
-// must catch it and re-fill the replica from the owner.
+// hits, so the read path never sees the divergence — the sweep's point
+// reads must catch it and re-fill the replica from the owner, over
+// in-process peers and over the wire alike.
 func TestSweepRepairsValueDivergence(t *testing.T) {
-	r, peers := newTestCluster(t, 3, Config{
+	cfg := Config{
 		Replicas:         2,
 		HotK:             8,
 		RepairRate:       100000,
 		RepairSweepEvery: -1, // driven by hand for determinism
-	})
-	const key = uint64(54321)
-	for i := 0; i < 4096; i++ {
-		r.hot.Touch(key)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) (*Router, map[string]*engine.Engine)
+	}{
+		{"peer=local", func(t *testing.T) (*Router, map[string]*engine.Engine) {
+			r, peers := newTestCluster(t, 3, cfg)
+			engs := make(map[string]*engine.Engine, len(peers))
+			for id, p := range peers {
+				engs[id] = p.Engine()
+			}
+			return r, engs
+		}},
+		{"peer=remote", func(t *testing.T) (*Router, map[string]*engine.Engine) {
+			// Nodes first, so the router's cleanup runs before theirs.
+			clients := make([]Peer, 3)
+			engs := make(map[string]*engine.Engine, 3)
+			for i := range clients {
+				clients[i], engs[fmt.Sprintf("node-%d", i)] = newRemoteNode(t)
+			}
+			c := cfg
+			c.Seed, c.HeartbeatEvery = testSeed, -1
+			r := New(c)
+			t.Cleanup(r.Close)
+			for i, p := range clients {
+				if err := r.Join(fmt.Sprintf("node-%d", i), p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return r, engs
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, engs := tc.build(t)
+			const key = uint64(54321)
+			for i := 0; i < 4096; i++ {
+				r.hot.Touch(key)
+			}
+			r.hot.Publish()
+			if !r.hot.Hot(key) {
+				t.Fatal("key did not reach the published hot set")
+			}
+			// Hot update fans to owner and replica.
+			if err := r.Update(key, 1000); err != nil {
+				t.Fatal(err)
+			}
+			ids := r.Ring().Replicas(key, 2)
+			owner, replica := engs[ids[0]], engs[ids[1]]
+			if v, _, ok := replica.Query(key); !ok || v != 1000 {
+				t.Fatalf("replica = (%d, %v) after hot update, want 1000", v, ok)
+			}
+			// Diverge the replica behind the router's back.
+			replica.Apply(engine.Op{Key: key, Value: 31337, Token: policy.NoToken})
+			r.sweepOnce()
+			waitFor(t, 2*time.Second, "sweep-triggered repair", func() bool {
+				v, _, ok := replica.Query(key)
+				return ok && v == 1000
+			})
+			if v, _, ok := owner.Query(key); !ok || v != 1000 {
+				t.Fatalf("owner disturbed by repair: (%d, %v)", v, ok)
+			}
+		})
+	}
+}
+
+// countingPeer counts a router's calls to the wrapped peer. The router sees
+// a type that is not *LocalPeer, so it takes the interface path it takes
+// for a remote peer.
+type countingPeer struct {
+	*LocalPeer
+	queries, streams atomic.Int64 // Query calls; OpenPull and Push calls
+}
+
+func (p *countingPeer) Query(key uint64) (uint64, bool, error) {
+	p.queries.Add(1)
+	return p.LocalPeer.Query(key)
+}
+
+func (p *countingPeer) OpenPull(arcs [][2]uint64) (io.ReadCloser, error) {
+	p.streams.Add(1)
+	return p.LocalPeer.OpenPull(arcs)
+}
+
+func (p *countingPeer) Push(r io.Reader, keepExisting bool) (int, error) {
+	p.streams.Add(1)
+	return p.LocalPeer.Push(r, keepExisting)
+}
+
+// TestSweepReadsEachCopyOnce pins the sweep's cost: over k published hot
+// keys at Replicas R, one sweep makes exactly k×R point reads and streams
+// nothing.
+func TestSweepReadsEachCopyOnce(t *testing.T) {
+	const k, replicas = 16, 3
+	r := New(Config{Seed: testSeed, Replicas: replicas, HotK: k, HeartbeatEvery: -1, RepairSweepEvery: -1})
+	t.Cleanup(r.Close)
+	peers := make([]*countingPeer, 4)
+	for i := range peers {
+		peers[i] = &countingPeer{LocalPeer: NewLocalPeer(newTestEngine(t), testSeed)}
+		if err := r.Join(fmt.Sprintf("node-%d", i), peers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Only k keys are ever touched, so all k are published.
+	for key := uint64(1); key <= k; key++ {
+		for i := 0; i < 64; i++ {
+			r.hot.Touch(key)
+		}
 	}
 	r.hot.Publish()
-	if !r.hot.Hot(key) {
-		t.Fatal("key did not reach the published hot set")
+	if got := len(r.HotKeys()); got != k {
+		t.Fatalf("%d hot keys published, want %d", got, k)
 	}
-	// Hot update fans to owner and replica.
-	if err := r.Update(key, 1000); err != nil {
-		t.Fatal(err)
+	for key := uint64(1); key <= k; key++ {
+		if err := r.Update(key, key*10); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := r.state.Load()
-	ids := st.ring.ReplicasAt(st.ring.Pos(key), 2)
-	owner, replica := peers[ids[0]], peers[ids[1]]
-	if v, _, ok := replica.eng.Query(key); !ok || v != 1000 {
-		t.Fatalf("replica = (%d, %v) after hot update, want 1000", v, ok)
-	}
-	// Diverge the replica behind the router's back.
-	if err := replica.Update(key, 31337); err != nil {
-		t.Fatal(err)
+	for _, p := range peers {
+		p.queries.Store(0)
+		p.streams.Store(0)
 	}
 	r.sweepOnce()
-	waitFor(t, 2*time.Second, "sweep-triggered repair", func() bool {
-		v, _, ok := replica.eng.Query(key)
-		return ok && v == 1000
-	})
-	if v, _, ok := owner.eng.Query(key); !ok || v != 1000 {
-		t.Fatalf("owner disturbed by repair: (%d, %v)", v, ok)
+	var queries, streams int64
+	for _, p := range peers {
+		queries += p.queries.Load()
+		streams += p.streams.Load()
+	}
+	if queries != k*replicas || streams != 0 {
+		t.Fatalf("sweep made %d Query calls and %d OpenPull/Push calls, want %d and 0",
+			queries, streams, k*replicas)
 	}
 }
 

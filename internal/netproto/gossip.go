@@ -7,10 +7,10 @@ import (
 
 // This file is the membership-gossip half of the cluster peer wire: the
 // digest entry format piggybacked on the UDP heartbeat plane (MsgGossip /
-// MsgGossipAck) and the arc-digest summary the anti-entropy sweep compares
-// across replicas (MsgArcDigest / MsgArcDigestAck). netproto only moves the
-// bytes — the merge semantics (incarnation precedence, suspicion, refutation)
-// live in internal/cluster, which hands the server a callback.
+// MsgGossipAck). netproto only moves the bytes — the merge semantics
+// (incarnation precedence, suspicion, refutation) live in internal/cluster,
+// which hands the server a callback. The anti-entropy sweep needs no wire
+// of its own: it compares replicas with the ordinary MsgQuery point read.
 
 // Member status codes carried in a digest entry. Larger wins at equal
 // incarnation, so a death verdict beats a suspicion beats liveness, and a
@@ -32,29 +32,6 @@ type MemberDigest struct {
 	TCPAddr     string
 	Status      uint8
 	Incarnation uint64
-}
-
-// ArcDigest summarizes a node's contents inside a set of hash arcs: the
-// resident pair count and the xor of PairDigest over every (key, value) —
-// order-independent, so two replicas holding the same pairs produce the same
-// digest regardless of shard layout or iteration order.
-type ArcDigest struct {
-	Pairs uint64
-	XOR   uint64
-}
-
-// PairDigest folds one (key, value) pair into a 64-bit mix for ArcDigest
-// accumulation. Both sides of a comparison must use this exact function —
-// it is splitmix64 over key ^ rotated value, cheap enough to run inline on
-// an engine Range.
-func PairDigest(key, val uint64) uint64 {
-	x := key ^ (val<<32 | val>>32) ^ 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // MaxGossipEntries bounds one datagram's digest: entries are length-prefixed

@@ -5,14 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"github.com/p4lru/p4lru/internal/engine"
-	"github.com/p4lru/p4lru/internal/policy"
 )
-
-func engineOp(k, v uint64) engine.Op {
-	return engine.Op{Key: k, Value: v, Token: policy.NoToken}
-}
 
 func TestMemberDigestRoundTrip(t *testing.T) {
 	in := []MemberDigest{
@@ -64,27 +57,6 @@ func TestMemberDigestOverflowRejected(t *testing.T) {
 	}
 	if _, err := appendMemberDigests(make([]byte, 0, packetBufSize), long); err == nil {
 		t.Fatal("digest list exceeding the datagram bound encoded without error")
-	}
-}
-
-func TestPairDigestOrderIndependence(t *testing.T) {
-	// The arc digest folds with xor, so the pair mix must vary with both key
-	// and value and a set's digest must not depend on iteration order.
-	if PairDigest(1, 2) == PairDigest(2, 1) {
-		t.Fatal("PairDigest symmetric in (key, value)")
-	}
-	if PairDigest(1, 2) == PairDigest(1, 3) {
-		t.Fatal("PairDigest ignores the value")
-	}
-	var fwd, rev uint64
-	for k := uint64(1); k <= 100; k++ {
-		fwd ^= PairDigest(k, k*7)
-	}
-	for k := uint64(100); k >= 1; k-- {
-		rev ^= PairDigest(k, k*7)
-	}
-	if fwd != rev || fwd == 0 {
-		t.Fatalf("xor fold not order-independent or degenerate: fwd=%x rev=%x", fwd, rev)
 	}
 }
 
@@ -143,51 +115,5 @@ func TestNodeGossipExchange(t *testing.T) {
 	mc := dialTestNode(t, mute)
 	if reply, err := mc.Gossip(sent); err != nil || len(reply) != 0 {
 		t.Fatalf("mute node gossip = (%v, %v), want empty reply", reply, err)
-	}
-}
-
-// TestNodeArcDigest compares the TCP-plane digest against a locally computed
-// one and checks divergence detection between two nodes.
-func TestNodeArcDigest(t *testing.T) {
-	const ringSeed = 7
-	a, b := newNodeEngine(t), newNodeEngine(t)
-	for k := uint64(1); k <= 500; k++ {
-		a.Apply(engineOp(k, k*3))
-		b.Apply(engineOp(k, k*3))
-	}
-	sa, err := NewNodeServer("127.0.0.1:0", NodeConfig{Engine: a, RingSeed: ringSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sa.Close()
-	sb, err := NewNodeServer("127.0.0.1:0", NodeConfig{Engine: b, RingSeed: ringSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sb.Close()
-	ca, cb := dialTestNode(t, sa), dialTestNode(t, sb)
-
-	whole := [][2]uint64{{0, 0}} // degenerate arc covers the full circle
-	da, err := ca.Digest(whole)
-	if err != nil {
-		t.Fatalf("Digest: %v", err)
-	}
-	if da.Pairs != 500 {
-		t.Fatalf("digest pairs = %d, want 500", da.Pairs)
-	}
-	db, err := cb.Digest(whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da != db {
-		t.Fatalf("identical nodes digest differently: %+v vs %+v", da, db)
-	}
-	// One divergent value must flip the digest.
-	b.Apply(engineOp(250, 999))
-	if db, err = cb.Digest(whole); err != nil {
-		t.Fatal(err)
-	}
-	if da == db {
-		t.Fatal("digest blind to a divergent value")
 	}
 }

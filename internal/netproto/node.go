@@ -24,9 +24,9 @@ import (
 //   - UDP carries the per-key operations: MsgPing/MsgPong heartbeats,
 //     MsgQuery/MsgReply point reads (CachedFlag 1 = hit, CachedIndex = the
 //     cached value), and MsgUpdate/MsgUpdateAck synchronous installs — the
-//     ack is only sent after engine.Apply returns, so an acked update is
-//     applied, which is what lets the router promise zero lost acknowledged
-//     updates on surviving nodes.
+//     ack is only sent after engine.Apply returns and echoes the applied
+//     value, so an acked update is applied, which is what lets the router
+//     promise zero lost acknowledged updates on surviving nodes.
 //   - TCP carries migration: bulk key-range handoff is a stream, not a
 //     datagram exchange, so it rides the engine's self-delimiting
 //     checksummed Snapshot format framed by a single wire header.
@@ -48,8 +48,7 @@ type NodeServer struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
-	pings, queries, updates, migrations *obs.Counter
-	gossips, digests                    *obs.Counter
+	pings, queries, updates, migrations, gossips *obs.Counter
 }
 
 // NodeConfig parameterizes NewNodeServer.
@@ -67,8 +66,7 @@ type NodeConfig struct {
 	// has exactly this signature. nil nodes ignore gossip datagrams.
 	Gossip func(in []MemberDigest) []MemberDigest
 	// Obs, when non-nil, receives node_pings_total, node_queries_total,
-	// node_updates_total, node_migrations_total, node_gossips_total and
-	// node_digests_total.
+	// node_updates_total, node_migrations_total and node_gossips_total.
 	Obs *obs.Registry
 }
 
@@ -105,7 +103,6 @@ func NewNodeServer(addr string, cfg NodeConfig) (*NodeServer, error) {
 		s.updates = r.Counter("node_updates_total")
 		s.migrations = r.Counter("node_migrations_total")
 		s.gossips = r.Counter("node_gossips_total")
-		s.digests = r.Counter("node_digests_total")
 	}
 	s.wg.Add(2)
 	go s.udpLoop()
@@ -192,8 +189,9 @@ func (s *NodeServer) udpLoop() {
 				Token: policy.NoToken,
 				Now:   s.eng.Now(),
 			})
-			// Ack strictly after Apply returned: acked ⇒ applied.
-			putHeader(buf, MsgUpdateAck, 0, msg.Key, 0)
+			// Ack strictly after Apply returned: acked ⇒ applied. The ack
+			// echoes the value, so a late ack cannot pass for a later write's.
+			putHeader(buf, MsgUpdateAck, 0, msg.Key, msg.CachedIndex)
 			out = headerSize
 		default:
 			continue
@@ -253,30 +251,6 @@ func (s *NodeServer) serveMigration(conn net.Conn) {
 		// The snapshot image is self-delimiting (terminating chunk +
 		// checksummed trailer), so the stream needs no extra framing.
 		_ = s.eng.SnapshotFiltered(conn, keep)
-	case MsgArcDigest:
-		arcs, err := readArcs(br)
-		if err != nil {
-			return
-		}
-		s.digests.Inc()
-		// Fold the resident pairs inside the arcs through the shared
-		// order-independent mix; the anti-entropy sweep compares this
-		// against other replicas' answers without moving any pairs.
-		var d ArcDigest
-		s.eng.Range(func(k, v uint64) bool {
-			h := s.posHash.Uint64(k)
-			for _, a := range arcs {
-				if arcContains(a, h) {
-					d.Pairs++
-					d.XOR ^= PairDigest(k, v)
-					break
-				}
-			}
-			return true
-		})
-		var ack [headerSize]byte
-		putHeader(ack[:], MsgArcDigestAck, 1, d.Pairs, d.XOR)
-		_, _ = conn.Write(ack[:])
 	case MsgMigratePush:
 		s.migrations.Inc()
 		restore := s.eng.RestoreSnapshot
@@ -349,11 +323,12 @@ func writeArcs(w io.Writer, arcs [][2]uint64) error {
 }
 
 // NodeClient dials one NodeServer. Operations are mutex-serialized over a
-// single connected UDP socket (replies are matched by echoed key, so a
-// stale reply from a timed-out attempt cannot be mis-delivered); migration
-// streams open a fresh TCP connection each. The cluster router keeps one
-// NodeClient per peer — peer fan-out is concurrent across clients, serial
-// per peer, which matches the one-socket-per-peer heartbeat model.
+// single connected UDP socket (replies are matched by echoed key, and update
+// acks also by echoed value, so a stale reply from a timed-out attempt
+// cannot answer another key's call or ack a later write of another value);
+// migration streams open a fresh TCP connection each. The cluster router
+// keeps one NodeClient per peer — peer fan-out is concurrent across clients,
+// serial per peer, which matches the one-socket-per-peer heartbeat model.
 type NodeClient struct {
 	mu      sync.Mutex
 	conn    *net.UDPConn
@@ -402,8 +377,9 @@ func (c *NodeClient) Addrs() (udp, tcp string) {
 }
 
 // roundTrip sends one request and waits for the matching reply type echoing
-// key, retrying timed-out attempts. Errors carry the ErrTimeout /
-// ErrUnreachable classification.
+// key, retrying timed-out attempts. An update ack must also echo the value
+// sent (idx): a late ack for an earlier write of the same key is stale.
+// Errors carry the ErrTimeout / ErrUnreachable classification.
 func (c *NodeClient) roundTrip(typ MsgType, key, idx uint64, want MsgType) (Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -424,7 +400,8 @@ func (c *NodeClient) roundTrip(typ MsgType, key, idx uint64, want MsgType) (Mess
 				break
 			}
 			var msg Message
-			if err := msg.Unmarshal(c.buf[:n]); err != nil || msg.Type != want || msg.Key != key {
+			if err := msg.Unmarshal(c.buf[:n]); err != nil || msg.Type != want || msg.Key != key ||
+				want == MsgUpdateAck && msg.CachedIndex != idx {
 				continue // stale or foreign reply
 			}
 			return msg, nil
@@ -579,35 +556,4 @@ func (c *NodeClient) Push(r io.Reader, keepExisting bool) (int, error) {
 		return int(done.CachedIndex), fmt.Errorf("netproto: node failed to restore migration stream")
 	}
 	return int(done.CachedIndex), nil
-}
-
-// Digest asks the node for the count + xor summary of its contents inside
-// arcs — the anti-entropy sweep's comparison primitive. It rides the TCP
-// plane (arc lists outgrow a datagram) with the same typed-error and
-// deadline discipline as migration.
-func (c *NodeClient) Digest(arcs [][2]uint64) (ArcDigest, error) {
-	conn, err := c.dialPlane("digest")
-	if err != nil {
-		return ArcDigest{}, err
-	}
-	defer conn.Close()
-	var head [headerSize]byte
-	putHeader(head[:], MsgArcDigest, 0, 0, 0)
-	if _, err := conn.Write(head[:]); err != nil {
-		return ArcDigest{}, fmt.Errorf("netproto: digest request: %w", classifyAttempt(err))
-	}
-	if err := writeArcs(conn, arcs); err != nil {
-		return ArcDigest{}, fmt.Errorf("netproto: digest arcs: %w", classifyAttempt(err))
-	}
-	// Digesting is a Range over the node's residents — bounded by the
-	// stream budget, not one RTT, on large nodes.
-	_ = conn.SetDeadline(time.Now().Add(migrateStreamBudget))
-	if _, err := io.ReadFull(conn, head[:]); err != nil {
-		return ArcDigest{}, fmt.Errorf("netproto: digest ack: %w", classifyAttempt(err))
-	}
-	var ack Message
-	if err := ack.Unmarshal(head[:]); err != nil || ack.Type != MsgArcDigestAck {
-		return ArcDigest{}, fmt.Errorf("netproto: bad digest ack")
-	}
-	return ArcDigest{Pairs: ack.Key, XOR: ack.CachedIndex}, nil
 }

@@ -180,6 +180,50 @@ func TestNodeClientTypedErrors(t *testing.T) {
 	}
 }
 
+// TestNodeClientRejectsStaleUpdateAck: an update ack that arrives after its
+// own attempt timed out must not acknowledge the next write of the same key.
+// The fake node holds back the ack for Update(7, 1) until the next datagram
+// arrives, sends it then and drops that datagram, so the only ack
+// Update(7, 2) ever sees is the late one for value 1.
+func TestNodeClientRejectsStaleUpdateAck(t *testing.T) {
+	node, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	go func() {
+		buf := make([]byte, packetBufSize)
+		var held []byte
+		for {
+			n, from, err := node.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			if held != nil {
+				_, _ = node.WriteToUDP(held, from)
+				held = nil
+				continue
+			}
+			var m Message
+			if m.Unmarshal(buf[:n]) == nil && m.Type == MsgUpdate {
+				held = (&Message{Type: MsgUpdateAck, Key: m.Key, CachedIndex: m.CachedIndex}).Marshal()
+			}
+		}
+	}()
+
+	c, err := DialNode(node.LocalAddr().(*net.UDPAddr), "", 20*time.Millisecond, NoRetries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Update(7, 1); err == nil {
+		t.Fatal("Update(7, 1) succeeded though the node held its ack back")
+	}
+	if err := c.Update(7, 2); err == nil {
+		t.Fatal("Update(7, 2) took the late ack for value 1 as its own; the node never applied 2")
+	}
+}
+
 // TestRemoteStoreTypedErrors: the backing.Store adapter surfaces the same
 // typed sentinels, so a breaker in front of it can tell "down" from "slow".
 func TestRemoteStoreTypedErrors(t *testing.T) {

@@ -49,8 +49,13 @@ func TestServerCloseUnderLoad(t *testing.T) {
 		}(g)
 	}
 
-	// Let traffic build, then close mid-stream.
+	// Let traffic build, then close mid-stream. The senders can starve the
+	// server's readers for longer than the sleep on a small host, so also
+	// wait (bounded) until the server has read a query.
 	time.Sleep(30 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Queries == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close under load: %v", err)
 	}

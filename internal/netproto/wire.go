@@ -40,7 +40,9 @@ const (
 	// synchronously; the ack is the durability point the router's
 	// zero-lost-acknowledged-updates contract hangs off.
 	MsgUpdate MsgType = 5
-	// MsgUpdateAck confirms an update was applied, echoing Key.
+	// MsgUpdateAck confirms an update was applied, echoing Key and, in
+	// CachedIndex, the value applied; a client accepts only the ack that
+	// echoes the value it sent.
 	MsgUpdateAck MsgType = 6
 	// MsgMigratePull opens a migration stream (TCP): the header is followed
 	// by uint32 n and n 16-byte (from, to] hash arcs; the node answers with
@@ -61,14 +63,6 @@ const (
 	// MsgGossipAck answers a gossip exchange, echoing the nonce in Key and
 	// carrying the responder's digest as payload.
 	MsgGossipAck MsgType = 11
-	// MsgArcDigest asks a node (TCP plane — arc lists outgrow a datagram)
-	// for the count + xor-of-hashes summary of its contents inside a set of
-	// hash arcs; the header is followed by the same arc encoding migration
-	// pulls use.
-	MsgArcDigest MsgType = 12
-	// MsgArcDigestAck answers an arc-digest request: Key carries the pair
-	// count, CachedIndex the running PairDigest xor.
-	MsgArcDigestAck MsgType = 13
 )
 
 // Wire layout (little endian):
@@ -162,7 +156,7 @@ func (m *Message) Unmarshal(data []byte) error {
 	switch MsgType(data[3]) {
 	case MsgQuery, MsgReply, MsgPing, MsgPong, MsgUpdate, MsgUpdateAck,
 		MsgMigratePull, MsgMigratePush, MsgMigrateDone,
-		MsgGossip, MsgGossipAck, MsgArcDigest, MsgArcDigestAck:
+		MsgGossip, MsgGossipAck:
 		m.Type = MsgType(data[3])
 	default:
 		return fmt.Errorf("%w: type %d", ErrBadMessage, data[3])
