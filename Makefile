@@ -2,9 +2,9 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_19.json
+BENCH_OUT ?= BENCH_20.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_18.json
+BENCH_BASE ?= BENCH_19.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
@@ -25,9 +25,9 @@ race:
 	$(GO) test -race ./internal/lru/ ./internal/engine/ ./internal/netproto/ ./internal/policy/ ./internal/obs/... ./internal/backing/ ./internal/resilience/ ./internal/cluster/
 
 # chaos runs the failure-injection suite (backing blackouts, writer panics,
-# overload shedding, cluster node death mid-replay — with and without gossip
-# membership doing the eviction — and a link-cut partition healed by hinted
-# handoff) under the race detector.
+# overload shedding, cluster node death mid-replay evicted by the gossip
+# suspect → dead verdict, and a link-cut partition healed by hinted handoff)
+# under the race detector.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/resilience/ ./internal/engine/ ./internal/cluster/
 
@@ -57,10 +57,10 @@ chaos:
 # through a one-node cluster.Router must cost ≤1.3× the bare engine and not
 # allocate (runs -count=5, benchjson keeps each side's fastest run) — and
 # the same bar holds with the self-healing machinery a one-node router can
-# run armed (gossip membership on a 25 ms heartbeat, the repair worker and
+# run armed (gossip membership on a 25 ms heartbeat, the background loop and
 # the hint log): path=selfheal. It also sets HotK and a sweep cadence, but
-# with Replicas at 1 the router builds no hot-key tracker and so starts no
-# sweep.
+# with Replicas at 1 the router builds no hot-key tracker and so never
+# sweeps.
 # The miss and write path gets the same treatment: GetOrLoad of a fresh key
 # through a replicated three-node router with its join windows open
 # (path=cold-router) must not allocate and must cost ≤4.8× a bare engine's

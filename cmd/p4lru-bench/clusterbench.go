@@ -16,9 +16,10 @@ import (
 // clusterCmd spins an N-node cluster inside one process and drives a Zipf
 // replay through a cluster.Router: consistent-hash placement, hot-key
 // replication, and (with -kill) a mid-replay node death showing breaker
-// trip, replica-sourced range migration and hit-ratio recovery. Nodes are
-// in-process engines by default; -net reaches each one over real loopback
-// UDP/TCP through netproto.NodeServer instead.
+// trip, the suspect → dead verdict, replica-sourced range migration and
+// hit-ratio recovery. Nodes are in-process engines by default; -net
+// reaches each one over real loopback UDP/TCP through netproto.NodeServer
+// instead.
 func clusterCmd(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	nodes := fs.Int("nodes", 4, "engine nodes in the ring")
@@ -34,7 +35,6 @@ func clusterCmd(args []string) error {
 	seed := fs.Uint64("seed", 42, "ring seed (and workload seed)")
 	useNet := fs.Bool("net", false, "reach nodes over loopback UDP/TCP instead of in-process")
 	kill := fs.Bool("kill", false, "kill one node mid-replay and report recovery")
-	gossip := fs.Bool("gossip", false, "gossip membership: breaker trips escalate suspect → dead, no explicit Fail")
 	partition := fs.Bool("partition", false, "cut one node's link mid-replay, heal it, and report hinted-handoff replay (in-process only)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,9 +54,9 @@ func clusterCmd(args []string) error {
 		spec.Seed = *seed + 1
 	}
 
-	// With gossip the suspicion window is short so a -kill demo converges
-	// quickly — unless -partition, where the heal must win the race against
-	// the confirm or the cut node would be evicted instead of replayed into.
+	// The suspicion window is short so a -kill demo converges quickly —
+	// unless -partition, where the heal must win the race against the
+	// confirm or the cut node would be evicted instead of replayed into.
 	suspectAfter := 150 * time.Millisecond
 	if *partition {
 		suspectAfter = 10 * time.Second
@@ -68,7 +68,6 @@ func clusterCmd(args []string) error {
 		HotK:           *hotk,
 		HeartbeatEvery: 25 * time.Millisecond,
 		DualReadFor:    5 * time.Second,
-		Gossip:         *gossip,
 		SuspectAfter:   suspectAfter,
 	})
 	defer r.Close()
@@ -86,11 +85,7 @@ func clusterCmd(args []string) error {
 		id := fmt.Sprintf("node-%d", i)
 		var peer cluster.Peer
 		if *useNet {
-			ncfg := netproto.NodeConfig{Engine: e, RingSeed: *seed}
-			if *gossip {
-				ncfg.Gossip = cluster.NewMembership(id, "", "").Exchange
-			}
-			srv, err := netproto.NewNodeServer("127.0.0.1:0", ncfg)
+			srv, err := netproto.NewNodeServer("127.0.0.1:0", netproto.NodeConfig{Engine: e, RingSeed: *seed})
 			if err != nil {
 				return err
 			}
@@ -104,9 +99,6 @@ func clusterCmd(args []string) error {
 			peer = cl
 		} else {
 			lp := cluster.NewLocalPeer(e, *seed)
-			if *gossip {
-				lp.AttachMembership(cluster.NewMembership(id, "", ""))
-			}
 			locals[id] = lp
 			peer = lp
 		}
@@ -191,10 +183,9 @@ func clusterCmd(args []string) error {
 	}
 
 	// Chaos demo: kill the last node and keep replaying until the failure
-	// detector evicts it, then measure the recovered cluster.
-	// With -gossip there is no explicit Fail anywhere: breaker trip files a
-	// suspect accusation, the suspicion window hardens it to dead, and
-	// reconcile prunes the ring.
+	// detector evicts it, then measure the recovered cluster. There is no
+	// explicit Fail anywhere: the breaker trip files a suspect accusation,
+	// the suspicion window hardens it to dead, and reconcile prunes the ring.
 	victim := fmt.Sprintf("node-%d", *nodes-1)
 	if lp := locals[victim]; lp != nil {
 		lp.Kill()
@@ -212,12 +203,8 @@ func clusterCmd(args []string) error {
 	if len(r.Members()) == *nodes {
 		return fmt.Errorf("%s not evicted within %v", victim, stallCap)
 	}
-	how := "breaker auto-fail"
-	if *gossip {
-		how = "gossip suspect → dead verdict"
-	}
-	fmt.Printf("%-16s evicted after %v via %s (survivors absorbed its ranges)\n",
-		victim, time.Since(start).Round(time.Millisecond), how)
+	fmt.Printf("%-16s evicted after %v via the suspect → dead verdict (survivors absorbed its ranges)\n",
+		victim, time.Since(start).Round(time.Millisecond))
 
 	replay(*queries / 4) // let survivors re-warm
 	hit, qps = replay(*queries)

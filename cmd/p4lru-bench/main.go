@@ -8,7 +8,6 @@
 //	p4lru-bench verify [-scale small|default] [-metrics :addr]
 //	p4lru-bench replay [-trace file.p4lt] [-policy spec] [-shards N]
 //	                   [-parallel N] ...
-//	p4lru-bench netbench [-queries N] [-batches 1,8,32,64] ...
 //	p4lru-bench cluster  [-nodes N] [-replicas R] [-net] [-kill] ...
 //
 // Each experiment prints the same rows/series the paper reports (§4); -csv
@@ -32,11 +31,6 @@
 // /debug/vars (expvar) and /debug/pprof. A progress line (experiments done,
 // packets simulated, packets/sec) is printed to stderr every two seconds
 // during multi-experiment runs; -progress=false silences it.
-//
-// netbench runs the wire-path packets/sec ladder: an in-process server +
-// switch + client stack on loopback, one timed rung per batch size, so the
-// recvmmsg/sendmmsg batching win over the single-datagram path is measurable
-// from the command line.
 //
 // cluster spins an N-node consistent-hash ring inside one process and
 // replays a Zipf workload through cluster.Router — hot-key replication,
@@ -88,11 +82,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "p4lru-bench:", err)
 			os.Exit(1)
 		}
-	case "netbench":
-		if err := netbenchCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "p4lru-bench:", err)
-			os.Exit(1)
-		}
 	case "cluster":
 		if err := clusterCmd(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "p4lru-bench:", err)
@@ -117,8 +106,6 @@ func usage() {
                      [-backing spec] [-attempts N] [-fetch-timeout d]
                      [-hedge d] [-inflight N] [-writebehind]
                      [-cpuprofile f] [-memprofile f]
-  p4lru-bench netbench [-queries N] [-batches 1,8,32,64] [-items N]
-                     [-skew z] [-levels N] [-units N] [-readers N] [-warm N]
   p4lru-bench cluster [-nodes N] [-replicas R] [-hotk N] [-vnodes N]
                      [-policy spec] [-mem bytes] [-shards N] [-queries N]
                      [-flows N] [-skew z] [-seed s] [-net] [-kill]`)

@@ -77,9 +77,9 @@ func BenchmarkClusterRouter(b *testing.B) {
 
 	// path=selfheal is path=local with the self-healing machinery a one-node
 	// router can run armed: gossip membership live on the heartbeat plane,
-	// the repair worker running, the hint log in place. HotK and
+	// the background loop running, the hint log in place. HotK and
 	// RepairSweepEvery are set too, but with Replicas at 1 New builds no
-	// hot-key tracker and so starts no sweep. The gate holds the local-owner
+	// hot-key tracker and so never sweeps. The gate holds the local-owner
 	// fast path to the same ≤1.3× / zero-alloc bar — the robustness
 	// machinery must price in at nothing on the hit path.
 	b.Run("path=selfheal", func(b *testing.B) {
@@ -89,7 +89,6 @@ func BenchmarkClusterRouter(b *testing.B) {
 		lp.AttachMembership(NewMembership("node-0", "", ""))
 		r := New(Config{
 			Seed:             testSeed,
-			Gossip:           true,
 			HotK:             64,
 			HeartbeatEvery:   25 * time.Millisecond,
 			RepairRate:       128,

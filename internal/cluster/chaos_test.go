@@ -138,7 +138,6 @@ func TestChaosGossipNodeDeath(t *testing.T) {
 	)
 
 	r, peers := newTestCluster(t, nodes, Config{
-		Gossip:         true,
 		Replicas:       2,
 		HotK:           256,
 		HeartbeatEvery: 15 * time.Millisecond,
@@ -242,7 +241,6 @@ func TestChaosGossipNodeDeath(t *testing.T) {
 func TestChaosPartitionHealHintReplay(t *testing.T) {
 	const warm = 2000
 	r, peers := newTestCluster(t, 3, Config{
-		Gossip:         true,
 		HeartbeatEvery: 15 * time.Millisecond,
 		SuspectAfter:   5 * time.Second, // the heal must beat the confirm
 		Breaker: resilience.BreakerConfig{

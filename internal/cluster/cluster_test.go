@@ -47,7 +47,7 @@ func newSeriesEngine(tb testing.TB) *engine.Engine {
 }
 
 // newTestCluster stands up n LocalPeer nodes behind one router. The
-// heartbeat loop is off unless cfg enables it — membership tests drive
+// heartbeat round is off unless cfg enables it — membership tests drive
 // Join/Leave/Fail explicitly.
 func newTestCluster(t *testing.T, n int, cfg Config) (*Router, map[string]*LocalPeer) {
 	t.Helper()
@@ -202,7 +202,7 @@ func setWindows(r *Router, ws ...dualWindow) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.state.Load()
-	r.swap(st, st.ring, clonePeers(st.peers), ws)
+	r.swap(st, st.ring, clonePeers(st.peers), ws, time.Now())
 }
 
 // TestRouterDualReadWindow drives the miss-retry path through hand-built

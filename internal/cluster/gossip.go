@@ -147,16 +147,17 @@ func (m *Membership) Status(id string) (uint8, bool) {
 	return e.d.Status, true
 }
 
-// SuspectedFor returns how long id has held a suspect verdict (0 if it is
-// not currently suspect) — the prober's suspect → dead escalation timer.
-func (m *Membership) SuspectedFor(id string) time.Duration {
+// SuspectedFor returns how long id has held a suspect verdict at now (0 if
+// it is not currently suspect) — the prober's suspect → dead escalation
+// timer.
+func (m *Membership) SuspectedFor(id string, now time.Time) time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := m.entries[id]
 	if e == nil || e.d.Status != netproto.MemberSuspect {
 		return 0
 	}
-	return time.Since(e.since)
+	return now.Sub(e.since)
 }
 
 // Entries returns the full table as digests, sorted by id.
@@ -258,17 +259,4 @@ func (m *Membership) Merge(in []netproto.MemberDigest) bool {
 func (m *Membership) Exchange(in []netproto.MemberDigest) []netproto.MemberDigest {
 	m.Merge(in)
 	return m.Digest()
-}
-
-// Forget drops id from the table entirely — used when an operator re-joins
-// a previously departed member under a resolver that must re-learn it, and
-// by tests. Gossip from peers that still remember the old verdict will
-// re-introduce the entry under normal precedence.
-func (m *Membership) Forget(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.entries[id]; ok {
-		delete(m.entries, id)
-		m.bump()
-	}
 }

@@ -112,12 +112,12 @@ func TestMembershipDigestBounded(t *testing.T) {
 func TestMembershipSuspectTimer(t *testing.T) {
 	m := NewMembership("", "", "")
 	m.Alive("a", "", "")
-	if d := m.SuspectedFor("a"); d != 0 {
+	if d := m.SuspectedFor("a", time.Now()); d != 0 {
 		t.Fatalf("alive member suspected for %v, want 0", d)
 	}
 	m.Suspect("a")
 	time.Sleep(5 * time.Millisecond)
-	if d := m.SuspectedFor("a"); d <= 0 {
+	if d := m.SuspectedFor("a", time.Now()); d <= 0 {
 		t.Fatalf("SuspectedFor = %v after suspicion, want > 0", d)
 	}
 	v := m.Version()

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"errors"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/p4lru/p4lru/internal/engine"
+	"github.com/p4lru/p4lru/internal/resilience"
 )
 
 // hintsPerPeer bounds each peer's hint log, in distinct keys.
@@ -15,7 +19,8 @@ const hintsPerPeer = 1024
 // installs, so a key rewritten while its owner is down costs one slot, not
 // one per write. Each peer's log is bounded; at capacity the oldest distinct
 // key is evicted (the newest write is the one worth keeping), and the caller
-// counts the drop.
+// counts the drop. A write its owner acks supersedes every hint parked for
+// its key: replaying the older value later would roll the acked one back.
 //
 // Replay drains a peer's log in one take and streams it as a synthesized
 // snapshot restored keep-existing: writes the recovered node accepted after
@@ -29,6 +34,7 @@ type hintLog struct {
 	mu     sync.Mutex
 	capPer int
 	byPeer map[string]*peerHints
+	n      atomic.Int64 // parked hints across all peers, read without mu
 }
 
 // peerHints is one peer's parked updates: latest value per key, plus the
@@ -60,11 +66,35 @@ func (h *hintLog) park(id string, key, val uint64) (evicted bool) {
 			copy(ph.order, ph.order[1:])
 			ph.order = ph.order[:len(ph.order)-1]
 			evicted = true
+		} else {
+			h.n.Add(1)
 		}
 		ph.order = append(ph.order, key)
 	}
 	ph.vals[key] = val
 	return
+}
+
+// supersede drops every hint parked for key. The count check keeps the
+// lock off the write path while nothing is parked.
+func (h *hintLog) supersede(key uint64) {
+	if h.n.Load() == 0 {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for id, ph := range h.byPeer {
+		if _, ok := ph.vals[key]; !ok {
+			continue
+		}
+		delete(ph.vals, key)
+		i := slices.Index(ph.order, key)
+		ph.order = slices.Delete(ph.order, i, i+1)
+		h.n.Add(-1)
+		if len(ph.vals) == 0 {
+			delete(h.byPeer, id)
+		}
+	}
 }
 
 // take removes and returns every hint parked for id (nil if none).
@@ -76,7 +106,23 @@ func (h *hintLog) take(id string) map[uint64]uint64 {
 		return nil
 	}
 	delete(h.byPeer, id)
+	h.n.Add(-int64(len(ph.vals)))
 	return ph.vals
+}
+
+// peers returns the ids with hints parked, sorted.
+func (h *hintLog) peers() []string {
+	if h.n.Load() == 0 {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	ids := make([]string, 0, len(h.byPeer))
+	for id := range h.byPeer {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // pendingFor reports how many hints are parked for id.
@@ -91,14 +137,40 @@ func (h *hintLog) pendingFor(id string) int {
 }
 
 // pending reports the total parked hints across all peers (the gauge).
-func (h *hintLog) pending() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	for _, ph := range h.byPeer {
-		n += len(ph.vals)
+func (h *hintLog) pending() int { return int(h.n.Load()) }
+
+// replayHints is step's hint duty. For every peer with hints parked, in id
+// order: a ring member whose breaker is closed gets them pushed
+// keep-existing, and a failed push re-parks them for a later step; an id no
+// longer in the ring has them re-routed through Update to the keys' new
+// owners; a member behind a breaker that is not closed keeps them.
+func (r *Router) replayHints() {
+	for _, id := range r.hints.peers() {
+		st := r.state.Load()
+		i := slices.Index(st.ids, id)
+		member := i >= 0 && i < st.ring.Size()
+		if member && st.brkArr[i].State() != resilience.Closed {
+			continue
+		}
+		pairs := r.hints.take(id)
+		n := 0
+		if member {
+			var err error
+			if n, err = pushPairs(st.peerArr[i], pairs); err != nil {
+				for k, v := range pairs {
+					r.hints.park(id, k, v)
+				}
+				continue
+			}
+		} else {
+			for k, v := range pairs {
+				if err := r.Update(k, v); err == nil || errors.Is(err, ErrHinted) {
+					n++
+				}
+			}
+		}
+		r.hintsReplayed.Add(uint64(n))
 	}
-	return n
 }
 
 // pushPairs streams pairs into p as a synthesized snapshot image restored
@@ -120,5 +192,9 @@ func pushPairs(p Peer, pairs map[uint64]uint64) (int, error) {
 		}
 		pw.CloseWithError(sw.Close())
 	}()
-	return p.Push(pr, true)
+	n, err := p.Push(pr, true)
+	// A push that failed without draining the image must not strand the
+	// producer on a write nobody reads.
+	pr.Close()
+	return n, err
 }

@@ -16,8 +16,8 @@ import (
 )
 
 // TestDualReadWindowsExpireWithoutHeartbeat: with the heartbeat off, the
-// expiry timer alone takes a leave's windows out of the published state at
-// their deadline, and with them the departed member's tombstone.
+// loop's window expiry alone takes a leave's windows out of the published
+// state at their deadline, and with them the departed member's tombstone.
 func TestDualReadWindowsExpireWithoutHeartbeat(t *testing.T) {
 	const window = 200 * time.Millisecond
 	r, _ := newTestCluster(t, 3, Config{DualReadFor: window})
@@ -50,7 +50,7 @@ func TestDualReadWindowsExpireWithoutHeartbeat(t *testing.T) {
 	}
 }
 
-// TestWindowExpiryRacesTraffic: the expiry timer republishes the state
+// TestWindowExpiryRacesTraffic: window expiry republishes the state
 // while readers and writers run, across repeated joins and leaves whose
 // windows each lapse under traffic. Every value the cluster ever holds for
 // k is 7k, so any other read is a torn or misrouted one. Run with -race.

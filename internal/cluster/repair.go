@@ -8,14 +8,14 @@ import (
 // Anti-entropy keeps replicas of the hot set convergent through one repair
 // path with two triggers, the fan read and the sweep. Both read a hot key's
 // copies with queryIdx, the read path's own point read, and both file jobs
-// on one bounded queue that one worker drains through repairOne.
+// on one bounded queue that the router's step drains through repairOne.
 //
 // Read repair rides the query path. The hot-key fan probes replicas in
 // rotation; when one replica hits after another answered a miss, the miss is
 // divergence observed for free, and a repair job is enqueued for the lagging
 // replica. The queue is bounded (overflow is dropped and counted — repair is
-// an optimization, never backpressure on reads) and drained by one worker at
-// a configured rate. The worker re-reads the key from its current ring owner
+// an optimization, never backpressure on reads) and drained by step at a
+// configured rate. The drain re-reads the key from its current ring owner
 // at drain time — the owner is the authority, and the value that triggered
 // the job may itself be stale by then — and installs the owner's value at
 // the divergent replica.
@@ -38,42 +38,37 @@ type repairJob struct {
 	dst string
 }
 
-// enqueueRepair offers a job to the bounded queue, never blocking the
-// caller; a full queue drops the job and counts it.
+// enqueueRepair offers a job to the bounded queue and kicks the loop to
+// drain it, never blocking the caller; a full queue drops the job and
+// counts it.
 func (r *Router) enqueueRepair(key uint64, dst string) {
 	select {
 	case r.repairQ <- repairJob{key: key, dst: dst}:
 		r.repairsQueued.Inc()
+		r.kick()
 	default:
 		r.repairsDropped.Inc()
 	}
 }
 
-// repairLoop is the single drain worker: rate-limited by a ticker so a
-// divergence storm (a node returning from a partition with a cold or stale
-// hot set) refills at a bounded trickle instead of a thundering herd.
-func (r *Router) repairLoop() {
-	defer close(r.repDone)
-	tick := time.NewTicker(time.Second / time.Duration(r.cfg.RepairRate))
-	defer tick.Stop()
-	for {
-		var j repairJob
-		select {
-		case <-r.repStop:
-			return
-		case j = <-r.repairQ:
-		}
-		select {
-		case <-r.repStop:
-			return
-		case <-tick.C:
-		}
+// drainRepair is step's repair duty: it runs one queued job when the rate
+// allows one at now. Jobs run at most one per 1/RepairRate, so a divergence
+// storm (a node returning from a partition with a cold or stale hot set)
+// refills at a bounded trickle, and an idle spell banks no burst.
+func (r *Router) drainRepair(now time.Time) {
+	if now.Before(r.nextRepair) {
+		return
+	}
+	select {
+	case j := <-r.repairQ:
 		r.repairOne(j)
+		r.nextRepair = now.Add(time.Second / time.Duration(r.cfg.RepairRate))
+	default:
 	}
 }
 
 // repairOne re-reads j.key from its current owner and installs the owner's
-// value at j.dst. Every step is best-effort: a vanished member, a miss at
+// value at j.dst. Each part is best-effort: a vanished member, a miss at
 // the owner (the key cooled off and was evicted) or a failed install just
 // abandons the job — the next read or sweep will re-detect live divergence.
 func (r *Router) repairOne(j repairJob) {
@@ -97,26 +92,10 @@ func (r *Router) repairOne(j repairJob) {
 	}
 }
 
-// sweepLoop runs the sweep on its configured cadence.
-func (r *Router) sweepLoop() {
-	defer close(r.swpDone)
-	t := time.NewTicker(r.cfg.RepairSweepEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.swpStop:
-			return
-		case <-t.C:
-		}
-		r.sweepOnce()
-	}
-}
-
 // sweepOnce reads every published hot key at its owner and replicas — one
 // point read per copy — and enqueues a repair for each replica whose (hit,
 // value) differs from the owner's. A copy whose read fails is skipped.
-// Tests with the sweep loop disabled call it directly for deterministic
-// timing.
+// Tests with the sweep disabled call it directly for deterministic timing.
 func (r *Router) sweepOnce() {
 	st := r.state.Load()
 	if r.hot == nil || st.ring.Size() < 2 {

@@ -49,25 +49,20 @@ type Config struct {
 	// Breaker parameterizes the per-peer circuit breakers. Name is
 	// overridden per peer; Obs defaults to Config.Obs.
 	Breaker resilience.BreakerConfig
-	// HeartbeatEvery is the ping cadence of the failure detector
-	// (0 = 250ms; negative disables the loop — membership then changes only
-	// through explicit Join/Leave/Fail calls).
+	// HeartbeatEvery is the cadence of the heartbeat round: pings, the
+	// gossip exchange and the suspect → dead verdicts (0 = 250ms; negative
+	// turns the round off — membership then changes only through explicit
+	// Join/Leave/Fail, while window expiry, hint replay and repairs still
+	// run).
 	HeartbeatEvery time.Duration
 	// DualReadFor is how long after a membership swap a miss in a moved arc
 	// retries the arc's previous holder (0 = 2s). It must comfortably cover
 	// a migration stream's duration.
 	DualReadFor time.Duration
-	// Gossip enables SWIM-style membership: each heartbeat tick exchanges
-	// versioned digests with one rotating peer, joins learned members
-	// through Resolver, and runs failures through the suspect → dead
-	// pipeline (with refutation) instead of failing a member the moment its
-	// breaker opens. Off, membership changes only through explicit
-	// Join/Leave/Fail plus the legacy breaker-open auto-fail.
-	Gossip bool
 	// SuspectAfter is how long a member stays suspect before this router
 	// confirms it dead and removes it (0 = 4×HeartbeatEvery, or 1s when the
-	// heartbeat loop is disabled). A suspect whose breaker re-closes within
-	// the window is refuted back to alive at a higher incarnation.
+	// heartbeat round is off). A suspect whose breaker re-closes within the
+	// window is refuted back to alive at a higher incarnation.
 	SuspectAfter time.Duration
 	// Resolver dials a peer handle for a member learned through gossip.
 	// nil = DialNode on the digest's advertised addresses (address-less
@@ -80,10 +75,6 @@ type Config struct {
 	// hot set (0 = 2s; negative disables the sweep, leaving only read-path
 	// repair).
 	RepairSweepEvery time.Duration
-	// Shedder, when non-nil, arbitrates remote-miss loads while the router
-	// is degraded (majority of peers unreachable): GetOrLoad sheds them at
-	// PriLow instead of stampeding the backing store. nil sheds them all.
-	Shedder *resilience.Shedder
 	// Obs, when non-nil, receives the cluster_* metrics.
 	Obs *obs.Registry
 	// Span, when non-nil, records one KindMigrate span per executed
@@ -130,8 +121,8 @@ func (c Config) withDefaults() Config {
 // the deadline, a read miss inside the arcs retries source (the previous
 // holder) and re-installs hits at the new owner. Windows ride the immutable
 // ringState, so the query path reads them without locks, and a published
-// window is open: the router's expiry timer republishes the state without
-// it at its deadline, so the query path reads no clock.
+// window is open: step republishes the state without it at its deadline,
+// so the query path reads no clock.
 type dualWindow struct {
 	arcs   [][2]uint64
 	source string
@@ -209,8 +200,8 @@ type Router struct {
 	gate *resilience.PeerGate
 	hot  *hotKeys
 
-	// member is the router's gossip view of the cluster (nil unless
-	// Config.Gossip); hints is the hinted-handoff log.
+	// member is the router's gossip view of the cluster; hints is the
+	// hinted-handoff log.
 	member *Membership
 	hints  *hintLog
 
@@ -218,22 +209,22 @@ type Router struct {
 
 	mu     sync.Mutex      // serializes membership changes
 	owned  map[string]Peer // handles the router dialed itself; guarded by mu
-	expiry *time.Timer     // fires expireWindows at the earliest window deadline; guarded by mu
 	closed atomic.Bool
-	hbStop chan struct{}
-	hbDone chan struct{}
 
-	repairQ          chan repairJob
-	repStop, repDone chan struct{}
-	swpStop, swpDone chan struct{}
+	// run, the one background goroutine, calls step when its timer fires or
+	// kick sends on wake; Close closes stop and waits for done.
+	wake       chan struct{}
+	stop, done chan struct{}
 
-	// bgMu + bg fence short-lived background work (hint replays) so Close
-	// can wait it out instead of letting it outlive the router.
-	bgMu sync.Mutex
-	bg   sync.WaitGroup
+	// stepMu serializes step and guards the schedule below it.
+	stepMu                          sync.Mutex
+	nextBeat, nextRepair, nextSweep time.Time
+	jitter                          *rand.Rand // seeds the heartbeat's ±10% jitter
+	gossipRR                        int        // rotates the per-beat gossip partner
 
-	degraded atomic.Bool   // minority-partition mode, refreshed each heartbeat
-	gossipRR atomic.Uint64 // rotates the per-tick gossip partner
+	repairQ chan repairJob
+
+	degraded atomic.Bool // minority-partition mode, refreshed each heartbeat
 
 	okSample atomic.Uint64 // samples breaker success recording in do
 	rr       atomic.Uint64 // rotates hot-key read fan-out across replicas
@@ -253,21 +244,26 @@ type Router struct {
 	nodesGauge, degradedGauge     *obs.Gauge
 }
 
-// New builds a router with an empty ring; add nodes with Join (or, with
-// Gossip enabled, join one seed and let the digest exchange find the rest).
+// New builds a router with an empty ring; add nodes with Join, or join one
+// seed and let the digest exchange find the rest.
 func New(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	r := &Router{
-		cfg:     cfg,
+		cfg: cfg,
+		// The router is a gossip observer, not a member: it has no self
+		// entry, so it spreads and adopts verdicts but never refutes one.
+		member:  NewMembership("", "", ""),
 		owned:   map[string]Peer{},
 		hints:   newHintLog(hintsPerPeer),
+		wake:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		jitter:  rand.New(rand.NewSource(int64(cfg.Seed)*0x9e3779b9 + 0x5bd1e995)),
 		repairQ: make(chan repairJob, repairQueueCap),
-		repStop: make(chan struct{}),
-		repDone: make(chan struct{}),
 	}
 	// Chain the router's own breaker observer in front of any caller's: the
-	// recovery edge (→ closed) triggers hint replay and suspect refutation,
-	// the trip edge (→ open) feeds the gossip suspect pipeline.
+	// recovery edge (→ closed) refutes a suspicion and wakes the loop to
+	// replay hints, the trip edge (→ open) feeds the gossip suspect pipeline.
 	userCB := cfg.Breaker.OnStateChange
 	cfg.Breaker.OnStateChange = func(name string, from, to resilience.State) {
 		if userCB != nil {
@@ -277,11 +273,6 @@ func New(cfg Config) *Router {
 	}
 	r.cfg.Breaker = cfg.Breaker
 	r.gate = resilience.NewPeerGate(cfg.Breaker)
-	if cfg.Gossip {
-		// The router is a gossip observer, not a member: it has no self
-		// entry, so it spreads and adopts verdicts but never refutes one.
-		r.member = NewMembership("", "", "")
-	}
 	if cfg.HotK > 0 && cfg.Replicas > 1 {
 		// Hot-key tracking only matters when there are successors to
 		// replicate to; without replication the tracker would tax every
@@ -326,77 +317,35 @@ func New(cfg Config) *Router {
 		reg.GaugeFunc("cluster_hints_pending", func() float64 {
 			return float64(r.hints.pending())
 		})
-		if r.member != nil {
-			reg.GaugeFunc("cluster_membership_version", func() float64 {
-				return float64(r.member.Version())
-			})
-		}
+		reg.GaugeFunc("cluster_membership_version", func() float64 {
+			return float64(r.member.Version())
+		})
 	}
-	go r.repairLoop()
-	if cfg.RepairSweepEvery > 0 && r.hot != nil {
-		r.swpStop = make(chan struct{})
-		r.swpDone = make(chan struct{})
-		go r.sweepLoop()
-	}
-	if cfg.HeartbeatEvery > 0 {
-		r.hbStop = make(chan struct{})
-		r.hbDone = make(chan struct{})
-		go r.heartbeatLoop()
-	}
+	now := time.Now()
+	r.nextBeat = now.Add(r.beatEvery())
+	r.nextSweep = now.Add(cfg.RepairSweepEvery)
+	go r.run()
 	return r
 }
 
-// Close stops the failure detector, the repair workers and any in-flight
-// hint replays, then closes peer handles the router dialed itself. Handles
-// passed to Join (and their engines) belong to the caller and are left open.
+// Close stops the background loop and waits for it, then closes peer
+// handles the router dialed itself. Handles passed to Join (and their
+// engines) belong to the caller and are left open.
 func (r *Router) Close() {
 	if !r.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if r.hbStop != nil {
-		close(r.hbStop)
-		<-r.hbDone
-	}
-	if r.swpStop != nil {
-		close(r.swpStop)
-		<-r.swpDone
-	}
-	close(r.repStop)
-	<-r.repDone
-	// closed is set, so goBG admits nothing new. The empty critical section
-	// is a barrier: a goBG that read closed=false before the flag flipped
-	// holds bgMu until its Add lands, so the Wait below observes it.
-	r.bgMu.Lock()
-	r.bgMu.Unlock() //nolint:staticcheck // barrier, see above
-	r.bg.Wait()
+	close(r.stop)
+	<-r.done
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.expiry != nil {
-		r.expiry.Stop()
-	}
 	for id, p := range r.owned {
 		_ = p.Close()
 		delete(r.owned, id)
 	}
 }
 
-// goBG runs f on a tracked background goroutine, refusing after Close so
-// replays cannot outlive the router and touch closed peers.
-func (r *Router) goBG(f func()) {
-	r.bgMu.Lock()
-	if r.closed.Load() {
-		r.bgMu.Unlock()
-		return
-	}
-	r.bg.Add(1)
-	r.bgMu.Unlock()
-	go func() {
-		defer r.bg.Done()
-		f()
-	}()
-}
-
-// Membership returns the router's gossip view (nil unless Config.Gossip).
+// Membership returns the router's gossip view.
 func (r *Router) Membership() *Membership { return r.member }
 
 // Degraded reports whether the router is in minority-partition mode: more
@@ -497,7 +446,7 @@ func (r *Router) queryIdxSlow(st *ringState, i int, key uint64) (uint64, bool, e
 // slot i through its breaker, with the same liveness gate and key-bit
 // success sampling. Every write goes through it: the owner write and
 // replica fan that Update and GetOrLoad's install share, the dual-read
-// re-install and the repair worker's install.
+// re-install and the repair drain's install.
 func (r *Router) updateIdx(st *ringState, i int, key, val uint64) error {
 	b := st.brkArr[i]
 	if !b.Live() {
@@ -665,9 +614,11 @@ func (r *Router) dualRead(st *ringState, pos, key uint64, read []int) (uint64, b
 //
 // When the owner is unreachable (breaker open, node mute), the write is
 // parked in the owner's hint log and ErrHinted returned: accepted at
-// reduced durability, replayed when the owner recovers or rerouted if it is
-// confirmed dead. Callers that need the hard ack treat ErrHinted as a
-// failure; callers that want availability treat it as success.
+// reduced durability, replayed when the owner recovers or rerouted if it
+// leaves the ring. Callers that need the hard ack treat ErrHinted as a
+// failure; callers that want availability treat it as success. An acked
+// write drops the hints parked for its key, so no later replay rolls it
+// back.
 func (r *Router) Update(key, val uint64) error {
 	st := r.state.Load()
 	if st.ring.Size() == 0 {
@@ -690,7 +641,9 @@ func (r *Router) update(st *ringState, owner int, key, val uint64) error {
 	}
 	if owner >= 0 {
 		err := r.updateIdx(st, owner, key, val)
-		if err != nil && r.parkHint(st.ids[owner], key, val, err) {
+		if err == nil {
+			r.hints.supersede(key)
+		} else if r.parkHint(st.ids[owner], key, val, err) {
 			return ErrHinted
 		}
 		return err
@@ -698,7 +651,10 @@ func (r *Router) update(st *ringState, owner int, key, val uint64) error {
 	var buf [8]int
 	reps := st.ring.replicaIdxAt(buf[:], pos, r.replicas())
 	err := r.updateIdx(st, reps[0], key, val)
-	if err != nil && r.parkHint(st.ids[reps[0]], key, val, err) {
+	if err == nil {
+		// Before the fan: the hints it parks carry the new value.
+		r.hints.supersede(key)
+	} else if r.parkHint(st.ids[reps[0]], key, val, err) {
 		err = ErrHinted
 	}
 	for _, m := range reps[1:] {
@@ -740,9 +696,7 @@ func isDownClass(err error) bool {
 // While the router is degraded (minority partition), misses caused by an
 // unreachable owner are shed instead of loaded: local arcs keep serving at
 // full fidelity, but the partitioned arcs' working set is not re-fetched
-// from the backing store wholesale. With a Shedder configured the shed is
-// arbitrated at PriLow (light pressure lets loads through); without one
-// every such miss is shed.
+// from the backing store wholesale.
 //
 // The key is routed once: the install reuses the query's state and owner
 // slot, and routes again only when a membership change swapped the state
@@ -761,10 +715,8 @@ func (r *Router) GetOrLoad(key uint64, load func(key uint64) (uint64, error)) (u
 	if err != nil && r.degraded.Load() {
 		// The miss is unreachability, not absence — the owner may well hold
 		// the key on the other side of the partition.
-		if sh := r.cfg.Shedder; sh == nil || !sh.Admit(resilience.PriLow, 0) {
-			r.degradedSheds.Inc()
-			return 0, ErrDegraded
-		}
+		r.degradedSheds.Inc()
+		return 0, ErrDegraded
 	}
 	v, err = load(key)
 	if err != nil {
@@ -783,9 +735,9 @@ func (r *Router) GetOrLoad(key uint64, load func(key uint64) (uint64, error)) (u
 // affected arcs is migrated to the new node *before* the ring swap — the
 // node serves its first query already warm — and a dual-read window covers
 // writes that raced the stream. The router does not take ownership of the
-// peer handle. With gossip enabled the join also asserts the member alive
-// in the membership table (refuting any standing accusation), so a
-// re-joined node spreads to other routers.
+// peer handle. The join also asserts the member alive in the membership
+// table (refuting any standing accusation), so a re-joined node spreads to
+// other routers.
 func (r *Router) Join(id string, peer Peer) error {
 	return r.join(id, peer, false)
 }
@@ -809,19 +761,14 @@ func (r *Router) join(id string, peer Peer, owned bool) error {
 	if owned {
 		r.owned[id] = peer
 	}
-	if r.member != nil {
-		udp, tcp := peer.Addrs()
-		r.member.Alive(id, udp, tcp)
-	}
+	udp, tcp := peer.Addrs()
+	r.member.Alive(id, udp, tcp)
 
 	// Migrate-then-swap: the stream runs while old owners still serve the
 	// arcs, so nothing is overwritten and the new node starts warm.
 	transfers := Plan(st.ring, next, r.replicas())
 	windows := r.execute(peers, transfers, "", false)
-	r.swap(st, next, peers, windows)
-	// A member that died holding hints and came back under the same id gets
-	// them replayed now rather than waiting for a breaker edge.
-	r.replayHintsFor(id)
+	r.swap(st, next, peers, windows, time.Now())
 	return nil
 }
 
@@ -837,8 +784,8 @@ func (r *Router) Leave(id string) error {
 // Fail removes node id as dead: the ring is swapped immediately and the
 // moved arcs are re-streamed from surviving replicas (there are none to
 // recover from unless Replicas > 1 — un-replicated keys on a dead node are
-// a cache miss, not data loss). The heartbeat failure detector calls this
-// automatically when a peer's breaker opens.
+// a cache miss, not data loss). The heartbeat round removes a member the
+// same way once its suspect verdict hardens to dead.
 func (r *Router) Fail(id string) error {
 	return r.remove(id, true)
 }
@@ -850,14 +797,10 @@ func (r *Router) remove(id string, dead bool) error {
 	if !containsStr(st.ring.Members(), id) {
 		return fmt.Errorf("cluster: %q is not a member", id)
 	}
-	if r.member != nil {
-		if dead {
-			if r.member.Confirm(id) {
-				r.confirms.Inc()
-			}
-		} else {
-			r.member.Left(id)
-		}
+	if !dead {
+		r.member.Left(id)
+	} else if r.member.Confirm(id) {
+		r.confirms.Inc()
 	}
 	members := make([]string, 0, st.ring.Size()-1)
 	for _, m := range st.ring.Members() {
@@ -881,74 +824,14 @@ func (r *Router) remove(id string, dead bool) error {
 	if dead {
 		skip = id
 	}
-	r.swap(st, next, peers, r.windowsFor(transfers, skip, next))
-	r.executeAfterSwap(transfers, skip)
-	if dead {
-		r.rerouteHints(id)
-	}
+	r.swap(st, next, peers, r.windowsFor(transfers, skip), time.Now())
+	r.execute(r.state.Load().peers, transfers, skip, true)
 	return nil
-}
-
-// rerouteHints re-addresses a confirmed-dead member's parked hints through
-// the normal update path: the ring has already swapped, so each write lands
-// at (or parks for) the key's new owner. Background — replay competes with
-// live traffic, never blocks the membership change.
-func (r *Router) rerouteHints(id string) {
-	pairs := r.hints.take(id)
-	if len(pairs) == 0 {
-		return
-	}
-	r.goBG(func() {
-		n := 0
-		for k, v := range pairs {
-			if err := r.Update(k, v); err == nil || errors.Is(err, ErrHinted) {
-				n++
-			}
-		}
-		r.hintsReplayed.Add(uint64(n))
-	})
-}
-
-// replayHintsFor streams a recovered member's parked hints back to it as a
-// keep-existing snapshot (writes accepted since recovery win). A failed
-// replay re-parks the batch — the breaker that just closed can trip again
-// mid-stream. Background, via goBG. Safe to call with r.mu held.
-func (r *Router) replayHintsFor(id string) {
-	if r.hints.pendingFor(id) == 0 {
-		return
-	}
-	r.goBG(func() {
-		pairs := r.hints.take(id)
-		if len(pairs) == 0 {
-			return
-		}
-		st := r.state.Load()
-		p := st.peers[id]
-		if p == nil || !containsStr(st.ring.Members(), id) {
-			// The member moved on while the replay was queued; reroute.
-			n := 0
-			for k, v := range pairs {
-				if err := r.Update(k, v); err == nil || errors.Is(err, ErrHinted) {
-					n++
-				}
-			}
-			r.hintsReplayed.Add(uint64(n))
-			return
-		}
-		n, err := pushPairs(p, pairs)
-		if err != nil {
-			for k, v := range pairs {
-				r.hints.park(id, k, v)
-			}
-			return
-		}
-		r.hintsReplayed.Add(uint64(n))
-	})
 }
 
 // windowsFor opens one dual-read window per transfer before the streams
 // run, pointing at the first usable source.
-func (r *Router) windowsFor(transfers []Transfer, skip string, next *Ring) []dualWindow {
+func (r *Router) windowsFor(transfers []Transfer, skip string) []dualWindow {
 	st := r.state.Load()
 	until := time.Now().Add(r.cfg.DualReadFor)
 	var out []dualWindow
@@ -962,13 +845,6 @@ func (r *Router) windowsFor(transfers []Transfer, skip string, next *Ring) []dua
 		}
 	}
 	return out
-}
-
-// executeAfterSwap runs the post-swap migration streams (keep-existing
-// restores). Caller holds r.mu; the swapped state is already live.
-func (r *Router) executeAfterSwap(transfers []Transfer, skip string) {
-	st := r.state.Load()
-	r.execute(st.peers, transfers, skip, true)
 }
 
 // execute streams every transfer from its first healthy source into its
@@ -1011,11 +887,11 @@ func (r *Router) execute(peers map[string]Peer, transfers []Transfer, skip strin
 	return windows
 }
 
-// swap publishes the new membership with the windows still open, new and
-// carried over, prunes tombstone peers no window references anymore, and
-// points the expiry timer at the earliest deadline left. Caller holds r.mu.
-func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows []dualWindow) {
-	now := time.Now()
+// swap publishes the new membership with the windows still open at now,
+// new and carried over, prunes tombstone peers no window references
+// anymore, and kicks the loop, whose next step times the earliest deadline
+// left. Caller holds r.mu.
+func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows []dualWindow, now time.Time) {
 	windows = slices.DeleteFunc(append(windows, st.windows...), func(w dualWindow) bool {
 		return !now.Before(w.until)
 	})
@@ -1039,7 +915,7 @@ func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows 
 	ns.index(r.gate)
 	r.state.Store(ns)
 	r.nodesGauge.Set(float64(next.Size()))
-	r.armExpiry(windows, now)
+	r.kick()
 	// Handles the router dialed itself die with their membership: once a
 	// resolved peer is out of the ring and past its windows, close it.
 	for id, p := range r.owned {
@@ -1050,109 +926,141 @@ func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows 
 	}
 }
 
-// armExpiry points the expiry timer at the earliest deadline among windows,
-// or stops it when there are none. One timer serves every window, so each
-// ends at its deadline whether or not the heartbeat runs. Caller holds r.mu.
-func (r *Router) armExpiry(windows []dualWindow, now time.Time) {
-	if len(windows) == 0 {
-		if r.expiry != nil {
-			r.expiry.Stop()
-		}
-		return
-	}
-	first := windows[0].until
-	for _, w := range windows[1:] {
-		if w.until.Before(first) {
-			first = w.until
-		}
-	}
-	if r.expiry == nil {
-		// goBG fences the callback, so Close waits for one in flight.
-		r.expiry = time.AfterFunc(first.Sub(now), func() { r.goBG(r.expireWindows) })
-		return
-	}
-	r.expiry.Reset(first.Sub(now))
-}
-
-// expireWindows is the expiry timer's work: it republishes the state
-// without the windows past their deadline, and so without the tombstones
-// only they read from; swap re-arms the timer for the next deadline.
-func (r *Router) expireWindows() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.state.Load()
-	r.swap(st, st.ring, clonePeers(st.peers), nil)
-}
-
-// heartbeatLoop is the failure detector: each tick pings every peer
-// through its breaker, runs one gossip exchange (when enabled), and either
-// escalates open breakers through the suspect → dead pipeline (gossip) or
-// auto-fails them directly (legacy). The cadence carries seeded ±10%
-// jitter: a fleet of routers stamped from one config must not probe every
-// node in lockstep, or each heartbeat interval lands the whole fleet's ping
-// fan on the same instant.
-func (r *Router) heartbeatLoop() {
-	defer close(r.hbDone)
-	rng := rand.New(rand.NewSource(int64(r.cfg.Seed)*0x9e3779b9 + 0x5bd1e995))
-	next := func() time.Duration {
-		j := r.cfg.HeartbeatEvery / 10
-		if j <= 0 {
-			return r.cfg.HeartbeatEvery
-		}
-		return r.cfg.HeartbeatEvery - j + time.Duration(rng.Int63n(int64(2*j)))
-	}
-	t := time.NewTimer(next())
+// run is the router's one background goroutine: it calls step whenever the
+// time step asked for comes, or kick reports new work, until Close.
+func (r *Router) run() {
+	defer close(r.done)
+	t := time.NewTimer(0)
 	defer t.Stop()
 	for {
 		select {
-		case <-r.hbStop:
+		case <-r.stop:
 			return
+		case <-r.wake:
 		case <-t.C:
 		}
-		r.heartbeatTick()
-		t.Reset(next())
-	}
-}
-
-// heartbeatTick is one failure-detector round.
-func (r *Router) heartbeatTick() {
-	st := r.state.Load()
-	for id, p := range st.peers {
-		p := p
-		_ = r.do(id, func() error { return p.Ping() })
-	}
-	if r.member != nil {
-		r.gossipTick(st)
-	} else {
-		for _, id := range r.gate.Open() {
-			if containsStr(r.state.Load().ring.Members(), id) {
-				r.autoFails.Inc()
-				_ = r.Fail(id)
+		next := r.step(time.Now())
+		if !t.Stop() {
+			select {
+			case <-t.C:
+			default:
 			}
 		}
+		t.Reset(time.Until(next))
 	}
-	r.refreshDegraded()
 }
 
-// gossipTick runs the membership side of one heartbeat round: exchange
-// digests with one rotating partner, convert local breaker evidence into
-// verdicts (open → suspect, re-closed → alive, suspect past the window →
-// dead), then reconcile the ring against the converged table.
-func (r *Router) gossipTick(st *ringState) {
+// kick asks run for a step now, without blocking: a repair job was filed,
+// the published state changed (new window deadlines or members), or a
+// breaker closed (its hints can replay).
+func (r *Router) kick() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// step runs every background duty due at now, in this order, and returns
+// the earliest time one falls due next:
+//
+//  1. the heartbeat round (heartbeatTick), when HeartbeatEvery > 0 and the
+//     jittered beat is due;
+//  2. window expiry: windows whose deadline is at or before now are
+//     unpublished, with any departed member only they still read from;
+//  3. hint replay (replayHints);
+//  4. the repair drain (drainRepair), one job per 1/RepairRate;
+//  5. the sweep (sweepOnce), every RepairSweepEvery, when the router tracks
+//     hot keys.
+//
+// Every due-time decision reads now, not the wall clock, so a test can
+// advance the router by calling step at a chosen time; stepMu serializes it
+// with run's calls.
+func (r *Router) step(now time.Time) time.Time {
+	r.stepMu.Lock()
+	defer r.stepMu.Unlock()
+	beat := r.cfg.HeartbeatEvery > 0
+	if beat && !now.Before(r.nextBeat) {
+		r.heartbeatTick(now)
+		r.nextBeat = now.Add(r.beatEvery())
+	}
+	r.expireWindows(now)
+	r.replayHints()
+	r.drainRepair(now)
+	sweep := r.hot != nil && r.cfg.RepairSweepEvery > 0
+	if sweep && !now.Before(r.nextSweep) {
+		r.sweepOnce()
+		r.nextSweep = now.Add(r.cfg.RepairSweepEvery)
+	}
+
+	next := now.Add(time.Hour) // nothing due: kick brings new work forward
+	due := func(t time.Time) {
+		if t.Before(next) {
+			next = t
+		}
+	}
+	if beat {
+		due(r.nextBeat)
+	}
+	for _, w := range r.state.Load().windows {
+		due(w.until)
+	}
+	if len(r.repairQ) > 0 {
+		due(r.nextRepair)
+	}
+	if sweep {
+		due(r.nextSweep)
+	}
+	return next
+}
+
+// beatEvery draws the interval to the next heartbeat round: HeartbeatEvery
+// with seeded ±10% jitter, so a fleet of routers stamped from one config
+// does not land its whole ping fan on each node at the same instant.
+// Caller holds stepMu (or is New).
+func (r *Router) beatEvery() time.Duration {
+	j := r.cfg.HeartbeatEvery / 10
+	if j <= 0 {
+		return r.cfg.HeartbeatEvery
+	}
+	return r.cfg.HeartbeatEvery - j + time.Duration(r.jitter.Int63n(int64(2*j)))
+}
+
+// expireWindows is step's window duty: it republishes the state without
+// the windows whose deadline is at or before now, and so without the
+// departed members only they read from.
+func (r *Router) expireWindows(now time.Time) {
+	if !slices.ContainsFunc(r.state.Load().windows, func(w dualWindow) bool { return !now.Before(w.until) }) {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.state.Load()
+	r.swap(st, st.ring, clonePeers(st.peers), nil, now)
+}
+
+// heartbeatTick is the heartbeat round at now: it pings every slot through
+// its breaker, exchanges digests with one rotating member, turns breaker
+// evidence into verdicts (open → suspect, re-closed → alive, suspect past
+// SuspectAfter → dead), reconciles the ring against the table and
+// recomputes degraded mode. Caller holds stepMu.
+func (r *Router) heartbeatTick(now time.Time) {
+	st := r.state.Load()
+	for i, p := range st.peerArr {
+		_ = r.do(st.ids[i], p.Ping)
+	}
 	members := st.ring.Members()
 	if len(members) > 0 {
-		id := members[int(r.gossipRR.Add(1))%len(members)]
-		if p := st.peers[id]; p != nil {
-			var reply []netproto.MemberDigest
-			err := r.do(id, func() error {
-				var gerr error
-				reply, gerr = p.Gossip(r.member.Digest())
-				return gerr
-			})
-			r.gossipRounds.Inc()
-			if err == nil && r.member.Merge(reply) {
-				r.gossipMerges.Inc()
-			}
+		r.gossipRR++
+		i := r.gossipRR % len(members)
+		var reply []netproto.MemberDigest
+		err := r.do(st.ids[i], func() error {
+			var gerr error
+			reply, gerr = st.peerArr[i].Gossip(r.member.Digest())
+			return gerr
+		})
+		r.gossipRounds.Inc()
+		if err == nil && r.member.Merge(reply) {
+			r.gossipMerges.Inc()
 		}
 	}
 	for _, id := range r.gate.Open() {
@@ -1170,24 +1078,21 @@ func (r *Router) gossipTick(st *ringState) {
 			r.member.Alive(d.ID, "", "")
 			continue
 		}
-		if r.member.SuspectedFor(d.ID) > r.cfg.SuspectAfter {
-			if r.member.Confirm(d.ID) {
-				r.confirms.Inc()
-			}
+		if r.member.SuspectedFor(d.ID, now) > r.cfg.SuspectAfter && r.member.Confirm(d.ID) {
+			r.confirms.Inc()
 		}
 	}
 	r.reconcile()
+	r.refreshDegraded()
 }
 
 // reconcile drives the ring toward the membership table's verdicts: alive
 // members not yet in the ring are resolved and joined (warm, via the
 // migrate-then-swap path), dead and departed members are removed (replica
-// re-streaming, hint rerouting). Suspects stay in the ring — their breakers
-// shield the query path while the accusation either hardens or is refuted.
+// re-streaming; the next hint replay re-routes their hints). Suspects stay
+// in the ring — their breakers shield the query path while the accusation
+// either hardens or is refuted.
 func (r *Router) reconcile() {
-	if r.member == nil {
-		return
-	}
 	for _, d := range r.member.Entries() {
 		inRing := containsStr(r.state.Load().ring.Members(), d.ID)
 		switch d.Status {
@@ -1237,19 +1142,17 @@ func (r *Router) resolve(d netproto.MemberDigest) (Peer, bool, error) {
 }
 
 // onBreakerChange is the router's own breaker observer (chained in front of
-// any caller-provided one): the recovery edge triggers hint replay and
-// suspect refutation, the trip edge files the gossip accusation without
-// waiting for the next heartbeat tick.
+// any caller-provided one): the recovery edge refutes a suspicion and kicks
+// the loop, whose next step replays the peer's hints; the trip edge files
+// the gossip accusation without waiting for the next heartbeat round.
 func (r *Router) onBreakerChange(id string, from, to resilience.State) {
 	switch {
 	case to == resilience.Closed && from != resilience.Closed:
-		if r.member != nil {
-			if s, known := r.member.Status(id); known && s == netproto.MemberSuspect {
-				r.member.Alive(id, "", "")
-			}
+		if s, known := r.member.Status(id); known && s == netproto.MemberSuspect {
+			r.member.Alive(id, "", "")
 		}
-		r.replayHintsFor(id)
-	case to == resilience.Open && r.member != nil:
+		r.kick()
+	case to == resilience.Open:
 		if containsStr(r.state.Load().ring.Members(), id) && r.member.Suspect(id) {
 			r.suspects.Inc()
 		}

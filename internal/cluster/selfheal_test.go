@@ -137,6 +137,61 @@ func TestUpdateParksHintAndReplaysOnRecovery(t *testing.T) {
 	}
 }
 
+// TestAckedWriteSupersedesParkedHint: a write the owner acks drops the
+// hint an earlier write of the same key parked while the breaker stayed
+// closed. Otherwise the owner's next recovery replays the hint
+// keep-existing into a node that has since evicted the acked value, and a
+// hit returns a value older than the last acked write.
+func TestAckedWriteSupersedesParkedHint(t *testing.T) {
+	r, peers := newTestCluster(t, 2, Config{
+		Breaker: resilience.BreakerConfig{
+			ConsecutiveFailures: 2,
+			OpenFor:             20 * time.Millisecond,
+			HalfOpenProbes:      1,
+		},
+	})
+	const owner = "node-0"
+	k := keyOwnedBy(t, r, owner, 1)
+	p := peers[owner]
+
+	p.CutLink()
+	if err := r.Update(k, 1); !errors.Is(err, ErrHinted) {
+		t.Fatalf("Update over a cut link = %v, want ErrHinted", err)
+	}
+	if s := r.gate.Peer(owner).State(); s != resilience.Closed {
+		t.Fatalf("owner's breaker is %v after one failure, want closed", s)
+	}
+	p.HealLink()
+	if err := r.Update(k, 2); err != nil {
+		t.Fatalf("Update after the heal = %v, want an ack", err)
+	}
+	// Evict the acked value behind the router's back.
+	for i := uint64(1); i <= 200_000; i++ {
+		p.Engine().Apply(engine.Op{Key: 1<<40 + i, Value: i, Token: policy.NoToken})
+	}
+	if _, _, ok := p.Engine().Query(k); ok {
+		t.Fatal("k outlived 200,000 other keys; the scenario needs it evicted")
+	}
+
+	// Trip the owner's breaker, then let it recover: the recovery replays
+	// whatever is still parked.
+	p.Kill()
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.Query(k); err == nil {
+			t.Fatal("Query to a killed owner succeeded")
+		}
+	}
+	p.Revive()
+	waitFor(t, 2*time.Second, "the owner's breaker to close", func() bool {
+		_, _, _ = r.Query(k)
+		return r.gate.Peer(owner).State() == resilience.Closed
+	})
+	waitFor(t, 2*time.Second, "the hint log to drain", func() bool { return r.PendingHints() == 0 })
+	if v, ok, err := r.Query(k); err != nil || ok && v != 2 {
+		t.Fatalf("Query(k) = (%d, %v, %v); want a miss or the last acked value 2", v, ok, err)
+	}
+}
+
 // TestReadRepairHealsMissingReplica: a hot key present at its owner but
 // absent at a replica is observed divergent by the fan read and re-filled
 // through the repair queue.
@@ -319,7 +374,7 @@ func TestSweepReadsEachCopyOnce(t *testing.T) {
 	}
 }
 
-// TestRepairOneResolvesReplicaSlot drives the repair worker's step by hand:
+// TestRepairOneResolvesReplicaSlot runs the repair drain's job by hand:
 // a job against a live replica installs the owner's value there, and a job
 // against a member failed out of the ring since it was filed finds no slot
 // and is dropped without an install.
@@ -430,7 +485,6 @@ func TestGossipBootstrapFromSingleSeed(t *testing.T) {
 	}
 	r := New(Config{
 		Seed:           testSeed,
-		Gossip:         true,
 		HeartbeatEvery: 10 * time.Millisecond,
 		Resolver: func(d netproto.MemberDigest) (Peer, error) {
 			if p := peers[d.ID]; p != nil {

@@ -467,43 +467,3 @@ func (c *Client) Run(count int) RunStats {
 	lat.fill(&st)
 	return st
 }
-
-// RunBatch performs count queries through the pipelined QueryBatch path,
-// cfg.Batch at a time — the open-loop ladder driver.
-func (c *Client) RunBatch(count int) RunStats {
-	var st RunStats
-	lat := newLatencyTrack()
-	keys := make([]uint64, c.cfg.Batch)
-	results := make([]QueryResult, c.cfg.Batch)
-	for served := 0; served < count; {
-		n := c.cfg.Batch
-		if rem := count - served; n > rem {
-			n = rem
-		}
-		for i := 0; i < n; i++ {
-			keys[i] = c.NextKey()
-		}
-		answered, err := c.QueryBatch(keys[:n], results[:n])
-		served += n
-		if err != nil {
-			st.Failures += n - answered
-			return st
-		}
-		st.Failures += n - answered
-		for i := 0; i < n; i++ {
-			if results[i].Key == 0 {
-				continue
-			}
-			st.Queries++
-			lat.observe(results[i].Latency)
-			if results[i].Cached {
-				st.Cached++
-			}
-			if !results[i].Valid {
-				st.Invalid++
-			}
-		}
-	}
-	lat.fill(&st)
-	return st
-}

@@ -315,7 +315,12 @@ func TestServerShedderAndHealth(t *testing.T) {
 	if !query() {
 		t.Fatal("recovered server did not reply")
 	}
+	// The server counts a reply once WriteBatch returns, which can be after
+	// the client has read it.
 	st := srv.Stats()
+	for deadline := time.Now().Add(time.Second); st.Replies+st.Shed != st.Queries && time.Now().Before(deadline); st = srv.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Replies+st.Shed != st.Queries {
 		t.Fatalf("accounting: queries=%d replies=%d shed=%d", st.Queries, st.Replies, st.Shed)
 	}

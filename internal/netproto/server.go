@@ -238,16 +238,17 @@ func (s *Server) loop(c *batchio.Conn) {
 		if keep == 0 {
 			continue
 		}
+		if s.shedder != nil {
+			// Per-query handling latency: decode, admission and resolve,
+			// amortized over the batch's queries. It is observed before the
+			// send, so a sample never lands after the client has its reply.
+			s.shedder.Observe(time.Since(start) / time.Duration(keep))
+		}
 		sent, werr := c.WriteBatch(ring, keep)
 		s.replies.Add(int64(sent))
 		for i := 0; i < sent; i++ {
 			spans[i].Mark(span.StageWire)
 			spans[i].Finish(span.KindReply)
-		}
-		if s.shedder != nil {
-			// Per-query handling latency: the batch's wall time amortized
-			// over the queries it carried.
-			s.shedder.Observe(time.Since(start) / time.Duration(keep))
 		}
 		if werr != nil && s.closed.Load() {
 			return
