@@ -2,9 +2,9 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_20.json
+BENCH_OUT ?= BENCH_23.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_19.json
+BENCH_BASE ?= BENCH_20.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
@@ -22,7 +22,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/lru/ ./internal/engine/ ./internal/netproto/ ./internal/policy/ ./internal/obs/... ./internal/backing/ ./internal/resilience/ ./internal/cluster/
+	$(GO) test -race ./internal/lru/ ./internal/engine/ ./internal/netproto/ ./internal/policy/ ./internal/obs/... ./internal/backing/ ./internal/resilience/ ./internal/cluster/ ./internal/btree/ ./internal/kvindex/
 
 # chaos runs the failure-injection suite (backing blackouts, writer panics,
 # overload shedding, cluster node death mid-replay evicted by the gossip
@@ -69,7 +69,10 @@ chaos:
 # The btree leg prices loading the kvindex server's 1M-key index: the
 # one-pass BuildAscending must cost ≤0.5× the ascending Put loop it replaced
 # (one build op loads 1M keys, tens of ms, so it runs a fixed -benchtime=5x
-# -count=3; benchjson keeps each side's fastest run).
+# -count=3; benchjson keeps each side's fastest run). The same leg records
+# ServerLoad, the whole kvindex.NewServer(1_000_000) (index and value arena,
+# built in parallel), with no gate: it is the load the index stacks pay
+# before they serve.
 bench:
 	{ $(GO) test -run '^$$' -bench 'FlatVsGeneric|FlatQuery|FlatReaders|Engine|Tiered|Breaker|Shedder' -benchmem \
 		-benchtime=$(BENCH_TIME) ./internal/lru/ ./internal/engine/ ./internal/resilience/ \
@@ -79,8 +82,8 @@ bench:
 		-benchtime=$(BENCH_NET_TIME) ./internal/netproto/ \
 	&& $(GO) test -run '^$$' -bench 'ClusterRouter' -benchmem \
 		-benchtime=$(BENCH_TIME) -count=5 ./internal/cluster/ \
-	&& $(GO) test -run '^$$' -bench 'BTreeBuild' -benchmem \
-		-benchtime=5x -count=3 ./internal/btree/ ; } \
+	&& $(GO) test -run '^$$' -bench 'BTreeBuild|ServerLoad' -benchmem \
+		-benchtime=5x -count=3 ./internal/btree/ ./internal/kvindex/ ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT) \
 		-faster 'FlatVsGeneric/core=flat<FlatVsGeneric/core=generic' \
 		-faster 'FlatVsGeneric/core=flat-batch<FlatVsGeneric/core=generic' \

@@ -66,9 +66,15 @@ func (t *Tree) Height() int {
 // rule exactly — a leaf splits 8 | 8 when its 16th key arrives, an interior
 // node splits 8 keys | separator up | 7 keys — so height, walk lengths and the
 // leaf chain are those of the ascending-Put tree.
+//
+// Nodes and their key, value and child arrays are carved from a few slabs
+// (see slab) instead of being allocated one by one. Each array keeps the
+// capacity a separately allocated one would have, so Put and Delete work on
+// the built tree unchanged.
 func BuildAscending(n int, kv func(i int) (k, v uint64)) *Tree {
-	leaf := newLeaf()
-	b := builder{spine: []*node{leaf}}
+	b := newBuilder(n)
+	leaf := b.newLeaf()
+	b.spine = append(b.spine, leaf)
 	for i := 0; i < n; i++ {
 		k, v := kv(i)
 		if i > 0 {
@@ -85,17 +91,67 @@ func BuildAscending(n int, kv func(i int) (k, v uint64)) *Tree {
 	return &Tree{root: b.spine[len(b.spine)-1], size: n}
 }
 
-// builder is BuildAscending's state: the rightmost node of every level.
+// slabChunk caps the windows in one slab chunk: a large build makes one
+// allocation per slabChunk nodes and arrays, not one per node and array.
+const slabChunk = 1024
+
+// slab carves equal windows out of chunked backing arrays.
+type slab[T any] struct {
+	free       []T
+	win, chunk int // window length; windows per chunk
+}
+
+// take returns an empty window of capacity win. An append past win
+// reallocates, as it would on an array allocated on its own, so windows
+// never run into each other.
+func (s *slab[T]) take() []T {
+	if len(s.free) < s.win {
+		s.free = make([]T, s.win*s.chunk)
+	}
+	w := s.free[:0:s.win]
+	s.free = s.free[s.win:]
+	return w
+}
+
+// builder is BuildAscending's state: the rightmost node of every level, and
+// the slabs every node is carved from.
 type builder struct {
-	spine []*node // spine[0] is the rightmost leaf, the last entry the root
+	spine    []*node // spine[0] is the rightmost leaf, the last entry the root
+	nodes    slab[node]
+	keys     slab[uint64] // leaf and interior keys
+	vals     slab[uint64]
+	children slab[*node]
 }
 
-func newLeaf() *node {
-	return &node{keys: make([]uint64, 0, degree), vals: make([]uint64, 0, degree)}
+// newBuilder sizes the slabs for n keys. A split leaves 8 keys behind, so
+// n keys fill at most n/8+1 leaves, and an interior split leaves 9 children
+// behind, so the interior levels hold about leaves/8 nodes plus one per
+// level. A small build fits one chunk per slab; a build that outgrows a
+// chunk takes another.
+func newBuilder(n int) *builder {
+	leaves := n/(degree/2) + 1
+	interiors := leaves/(degree/2) + 8
+	chunk := func(want int) int { return min(want, slabChunk) }
+	return &builder{
+		nodes:    slab[node]{win: 1, chunk: chunk(leaves + interiors)},
+		keys:     slab[uint64]{win: degree, chunk: chunk(leaves + interiors)},
+		vals:     slab[uint64]{win: degree, chunk: chunk(leaves)},
+		children: slab[*node]{win: degree + 1, chunk: chunk(interiors)},
+	}
 }
 
-func newInterior() *node {
-	return &node{keys: make([]uint64, 0, degree), children: make([]*node, 0, degree+1)}
+func (b *builder) newNode() *node { return &b.nodes.take()[:1][0] }
+
+func (b *builder) newLeaf() *node {
+	n := b.newNode()
+	n.keys, n.vals = b.keys.take(), b.vals.take()
+	return n
+}
+
+func (b *builder) newInterior() *node {
+	n := b.newNode()
+	n.keys, n.children = b.keys.take(), b.children.take()
+	return n
 }
 
 // splitLeaf splits the overfull rightmost leaf as Put would, links the new
@@ -103,7 +159,7 @@ func newInterior() *node {
 func (b *builder) splitLeaf() *node {
 	l := b.spine[0]
 	mid := len(l.keys) / 2
-	r := newLeaf()
+	r := b.newLeaf()
 	r.keys = append(r.keys, l.keys[mid:]...)
 	r.vals = append(r.vals, l.vals[mid:]...)
 	l.keys, l.vals = l.keys[:mid], l.vals[:mid]
@@ -125,7 +181,7 @@ func (b *builder) push(level int, sep uint64, left, right *node) {
 		}
 		mid := len(p.keys) / 2
 		sep = p.keys[mid]
-		r := newInterior()
+		r := b.newInterior()
 		r.keys = append(r.keys, p.keys[mid+1:]...)
 		r.children = append(r.children, p.children[mid+1:]...)
 		p.keys, p.children = p.keys[:mid], p.children[:mid+1]
@@ -133,7 +189,7 @@ func (b *builder) push(level int, sep uint64, left, right *node) {
 		left, right = p, r
 	}
 	// The root split: grow a level, as Put does.
-	root := newInterior()
+	root := b.newInterior()
 	root.keys = append(root.keys, sep)
 	root.children = append(root.children, left, right)
 	b.spine = append(b.spine, root)

@@ -397,6 +397,52 @@ func TestBuildAscendingPanicsOnUnsorted(t *testing.T) {
 	}
 }
 
+// TestBuildAscendingAllocs pins BuildAscending to a few slab chunks: one
+// allocation per node and array would be about 25,000 at this size.
+func TestBuildAscendingAllocs(t *testing.T) {
+	const n = 1 << 16
+	allocs := testing.AllocsPerRun(5, func() { sinkTree = BuildAscending(n, identity) })
+	if allocs > 40 {
+		t.Errorf("BuildAscending(%d) made %.0f allocations, want at most 40", n, allocs)
+	}
+}
+
+// TestBuiltTreeRanges: Range walks a bulk-built tree's leaf chain across
+// slab chunks, before and after Puts split its slab-carved leaves.
+func TestBuiltTreeRanges(t *testing.T) {
+	const n = 3 * slabChunk * degree
+	tr := BuildAscending(n, func(i int) (k, v uint64) { return uint64(2 * i), uint64(i) })
+	want := make([]uint64, 0, n)
+	for i := range n {
+		want = append(want, uint64(2*i))
+	}
+	keys := func() []uint64 {
+		var got []uint64
+		tr.Range(0, ^uint64(0), func(k, v uint64) bool {
+			got = append(got, k)
+			return true
+		})
+		return got
+	}
+	if got := keys(); !slices.Equal(got, want) {
+		t.Fatalf("Range over the built tree: %d keys, want %d in order", len(got), len(want))
+	}
+	// Fill every gap under the first slabChunk*degree keys: the slab-built
+	// leaves there fill their windows and split, and Range must see the new
+	// heap-allocated nodes in order among the slab-carved ones.
+	for k := uint64(1); k < slabChunk*degree; k += 2 {
+		tr.Put(k, k)
+		want = append(want, k)
+	}
+	slices.Sort(want)
+	if got := keys(); !slices.Equal(got, want) {
+		t.Fatalf("Range after Puts: %d keys, want %d in order", len(got), len(want))
+	}
+	if err := tr.check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func seq(n int) []uint64 {
 	s := make([]uint64, n)
 	for i := range s {

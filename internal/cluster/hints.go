@@ -25,7 +25,9 @@ const hintsPerPeer = 1024
 // Replay drains a peer's log in one take and streams it as a synthesized
 // snapshot restored keep-existing: writes the recovered node accepted after
 // it came back are fresher than any parked hint and are never rolled back.
-// The inverse staleness — a partitioned (not dead) node whose old residents
+// Until the replay settles the take, supersede still reaches its pairs, and
+// a failed replay re-parks only the pairs nothing newer replaced. The
+// inverse staleness — a partitioned (not dead) node whose old residents
 // beat the hints — is not the replay's to fix. The anti-entropy sweep reads
 // only hot keys and makes each replica agree with the owner, so it heals a
 // stale replica but copies a stale owner's value; any other stale copy stays
@@ -34,18 +36,23 @@ type hintLog struct {
 	mu     sync.Mutex
 	capPer int
 	byPeer map[string]*peerHints
-	n      atomic.Int64 // parked hints across all peers, read without mu
+	taken  map[string]*peerHints // taken by a replay that has not settled
+	n      atomic.Int64          // parked and taken hints, read without mu
 }
 
 // peerHints is one peer's parked updates: latest value per key, plus the
-// distinct-key insertion order the capacity eviction walks.
+// distinct-key insertion order the capacity eviction walks. In a take,
+// order keeps every taken key and vals only those nothing superseded.
 type peerHints struct {
 	vals  map[uint64]uint64
 	order []uint64
 }
 
+// hint is one taken update.
+type hint struct{ key, val uint64 }
+
 func newHintLog(capPer int) *hintLog {
-	return &hintLog{capPer: capPer, byPeer: make(map[string]*peerHints)}
+	return &hintLog{capPer: capPer, byPeer: make(map[string]*peerHints), taken: make(map[string]*peerHints)}
 }
 
 // park records key → val for peer id, reporting whether an older hint was
@@ -75,8 +82,9 @@ func (h *hintLog) park(id string, key, val uint64) (evicted bool) {
 	return
 }
 
-// supersede drops every hint parked for key. The count check keeps the
-// lock off the write path while nothing is parked.
+// supersede drops every hint for key, parked or taken by a replay that has
+// not settled. The count check keeps the lock off the write path while
+// nothing is parked or taken.
 func (h *hintLog) supersede(key uint64) {
 	if h.n.Load() == 0 {
 		return
@@ -95,10 +103,17 @@ func (h *hintLog) supersede(key uint64) {
 			delete(h.byPeer, id)
 		}
 	}
+	for _, t := range h.taken {
+		if _, ok := t.vals[key]; ok {
+			delete(t.vals, key)
+			h.n.Add(-1)
+		}
+	}
 }
 
-// take removes and returns every hint parked for id (nil if none).
-func (h *hintLog) take(id string) map[uint64]uint64 {
+// take removes every hint parked for id and returns them oldest first (nil
+// if none). The caller must settle the take once its replay is done.
+func (h *hintLog) take(id string) []hint {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ph := h.byPeer[id]
@@ -106,8 +121,61 @@ func (h *hintLog) take(id string) map[uint64]uint64 {
 		return nil
 	}
 	delete(h.byPeer, id)
-	h.n.Add(-int64(len(ph.vals)))
-	return ph.vals
+	h.taken[id] = ph
+	out := make([]hint, len(ph.order))
+	for i, k := range ph.order {
+		out[i] = hint{k, ph.vals[k]}
+	}
+	return out
+}
+
+// settle ends id's take. A delivered take is dropped. A failed one is
+// parked again at the front of id's log, oldest first, except for keys
+// something newer replaced since the take: a hint parked for id, or a write
+// its owner acked. If that overfills the log, the oldest hints go; settle
+// returns how many.
+func (h *hintLog) settle(id string, delivered bool) (dropped int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	t := h.taken[id]
+	if t == nil {
+		return 0
+	}
+	delete(h.taken, id)
+	if delivered {
+		h.n.Add(-int64(len(t.vals)))
+		return 0
+	}
+	ph := h.byPeer[id]
+	if ph == nil {
+		ph = &peerHints{vals: make(map[uint64]uint64)}
+	}
+	back := make([]uint64, 0, len(t.vals)+len(ph.order))
+	for _, k := range t.order {
+		v, ok := t.vals[k]
+		if !ok {
+			continue // superseded by an acked write
+		}
+		if _, newer := ph.vals[k]; newer {
+			h.n.Add(-1) // already counted in ph
+			continue
+		}
+		ph.vals[k] = v
+		back = append(back, k)
+	}
+	ph.order = append(back, ph.order...)
+	if over := len(ph.order) - h.capPer; over > 0 {
+		for _, k := range ph.order[:over] {
+			delete(ph.vals, k)
+		}
+		ph.order = slices.Delete(ph.order, 0, over)
+		h.n.Add(-int64(over))
+		dropped = over
+	}
+	if len(ph.order) > 0 {
+		h.byPeer[id] = ph
+	}
+	return dropped
 }
 
 // peers returns the ids with hints parked, sorted.
@@ -125,25 +193,30 @@ func (h *hintLog) peers() []string {
 	return ids
 }
 
-// pendingFor reports how many hints are parked for id.
+// pendingFor reports how many hints are parked for id or taken by its
+// unsettled replay.
 func (h *hintLog) pendingFor(id string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ph := h.byPeer[id]
-	if ph == nil {
-		return 0
+	n := 0
+	if ph := h.byPeer[id]; ph != nil {
+		n += len(ph.vals)
 	}
-	return len(ph.vals)
+	if t := h.taken[id]; t != nil {
+		n += len(t.vals)
+	}
+	return n
 }
 
-// pending reports the total parked hints across all peers (the gauge).
+// pending reports the hints parked or taken across all peers (the gauge).
 func (h *hintLog) pending() int { return int(h.n.Load()) }
 
 // replayHints is step's hint duty. For every peer with hints parked, in id
 // order: a ring member whose breaker is closed gets them pushed
-// keep-existing, and a failed push re-parks them for a later step; an id no
-// longer in the ring has them re-routed through Update to the keys' new
-// owners; a member behind a breaker that is not closed keeps them.
+// keep-existing, and a failed push parks again what nothing newer replaced
+// meanwhile, for a later step; an id no longer in the ring has them
+// re-routed through Update to the keys' new owners; a member behind a
+// breaker that is not closed keeps them.
 func (r *Router) replayHints() {
 	for _, id := range r.hints.peers() {
 		st := r.state.Load()
@@ -153,22 +226,24 @@ func (r *Router) replayHints() {
 			continue
 		}
 		pairs := r.hints.take(id)
+		if pairs == nil {
+			continue
+		}
 		n := 0
 		if member {
 			var err error
 			if n, err = pushPairs(st.peerArr[i], pairs); err != nil {
-				for k, v := range pairs {
-					r.hints.park(id, k, v)
-				}
+				r.hintsDropped.Add(uint64(r.hints.settle(id, false)))
 				continue
 			}
 		} else {
-			for k, v := range pairs {
-				if err := r.Update(k, v); err == nil || errors.Is(err, ErrHinted) {
+			for _, p := range pairs {
+				if err := r.Update(p.key, p.val); err == nil || errors.Is(err, ErrHinted) {
 					n++
 				}
 			}
 		}
+		r.hints.settle(id, true)
 		r.hintsReplayed.Add(uint64(n))
 	}
 }
@@ -176,7 +251,7 @@ func (r *Router) replayHints() {
 // pushPairs streams pairs into p as a synthesized snapshot image restored
 // keep-existing — RestoreSnapshotIfAbsent semantics, the replay contract
 // (see hintLog). Returns the installed pair count.
-func pushPairs(p Peer, pairs map[uint64]uint64) (int, error) {
+func pushPairs(p Peer, pairs []hint) (int, error) {
 	pr, pw := io.Pipe()
 	go func() {
 		sw, err := engine.NewSnapshotWriter(pw)
@@ -184,8 +259,8 @@ func pushPairs(p Peer, pairs map[uint64]uint64) (int, error) {
 			pw.CloseWithError(err)
 			return
 		}
-		for k, v := range pairs {
-			if err := sw.Add(k, v); err != nil {
+		for _, h := range pairs {
+			if err := sw.Add(h.key, h.val); err != nil {
 				pw.CloseWithError(err)
 				return
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,17 +59,61 @@ func TestHintLogParkDedupeEvict(t *testing.T) {
 		t.Fatal("park at capacity did not evict")
 	}
 	got := h.take("a")
-	want := map[uint64]uint64{2: 21, 3: 30, 4: 40}
-	if len(got) != len(want) {
+	if want := []hint{{2, 21}, {3, 30}, {4, 40}}; !slices.Equal(got, want) {
 		t.Fatalf("take = %v, want %v", got, want)
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("take[%d] = %d, want %d", k, got[k], v)
-		}
-	}
+	h.settle("a", true)
 	if h.take("a") != nil || h.pending() != 0 {
-		t.Fatal("take did not drain the log")
+		t.Fatal("a delivered take did not drain the log")
+	}
+}
+
+// TestHintLogFailedTakeReparks: a take that fails goes back to the front of
+// the peer's FIFO in its original order, minus the keys something newer
+// replaced while it was out: a hint parked since, or an acked write.
+func TestHintLogFailedTakeReparks(t *testing.T) {
+	h := newHintLog(4)
+	for k := uint64(1); k <= 3; k++ {
+		h.park("a", k, 10*k)
+	}
+	h.take("a")
+	// While the push runs: a newer hint for 2, a new key 4, and an acked
+	// write of 3, which supersedes the taken hint.
+	h.park("a", 2, 21)
+	h.park("a", 4, 40)
+	h.supersede(3)
+	if got := h.pending(); got != 4 {
+		t.Fatalf("pending with a take out = %d, want 4 (taken 1, 2; parked 2, 4)", got)
+	}
+	if dropped := h.settle("a", false); dropped != 0 {
+		t.Fatalf("settle dropped %d under capacity", dropped)
+	}
+	if got := h.pending(); got != 3 {
+		t.Fatalf("pending after the failed take = %d, want 3", got)
+	}
+	// The log is 1 (re-parked, oldest), 2 and 4. At capacity 4, a fifth
+	// and sixth key evict from the front, oldest first.
+	h.park("a", 5, 50)
+	if !h.park("a", 6, 60) {
+		t.Fatal("park at capacity did not evict")
+	}
+	if got, want := h.take("a"), []hint{{2, 21}, {4, 40}, {5, 50}, {6, 60}}; !slices.Equal(got, want) {
+		t.Fatalf("take = %v, want %v", got, want)
+	}
+
+	// A re-park that overfills the log drops its oldest hints.
+	h = newHintLog(3)
+	for k := uint64(1); k <= 3; k++ {
+		h.park("a", k, 10*k)
+	}
+	h.take("a")
+	h.park("a", 4, 40)
+	h.park("a", 5, 50)
+	if dropped := h.settle("a", false); dropped != 2 {
+		t.Fatalf("settle dropped %d, want 2", dropped)
+	}
+	if got, want := h.take("a"), []hint{{3, 30}, {4, 40}, {5, 50}}; !slices.Equal(got, want) || h.pending() != 3 {
+		t.Fatalf("take = %v (pending %d), want %v (pending 3)", got, h.pending(), want)
 	}
 }
 
@@ -78,7 +123,7 @@ func TestPushPairsSynthesizedReplay(t *testing.T) {
 	if err := p.Update(5, 555); err != nil {
 		t.Fatal(err)
 	}
-	n, err := pushPairs(p, map[uint64]uint64{5: 50, 6: 60, 7: 70})
+	n, err := pushPairs(p, []hint{{5, 50}, {6, 60}, {7, 70}})
 	if err != nil {
 		t.Fatalf("pushPairs: %v", err)
 	}

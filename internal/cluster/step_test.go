@@ -2,13 +2,17 @@ package cluster
 
 import (
 	"errors"
+	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/netproto"
 	"github.com/p4lru/p4lru/internal/obs"
+	"github.com/p4lru/p4lru/internal/policy"
 	"github.com/p4lru/p4lru/internal/resilience"
 )
 
@@ -135,4 +139,119 @@ func TestStepRacesHintTraffic(t *testing.T) {
 	}
 	halt()
 	waitFor(t, 2*time.Second, "the hint log to drain", func() bool { return r.PendingHints() == 0 })
+}
+
+// stallPeer is a LocalPeer whose next Push, once armed, signals entered,
+// blocks until release is closed and then fails without installing
+// anything: a hint replay that is in flight while the test writes, and lost.
+type stallPeer struct {
+	*LocalPeer
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (p *stallPeer) Push(r io.Reader, keepExisting bool) (int, error) {
+	if !p.armed.CompareAndSwap(true, false) {
+		return p.LocalPeer.Push(r, keepExisting)
+	}
+	close(p.entered)
+	<-p.release
+	return 0, ErrPeerDown
+}
+
+// stalledReplay builds a two-node router whose node-0 is a stallPeer, parks
+// one hint k → 1 for node-0 over a cut link, and starts a step whose replay
+// of that hint blocks in the push. It returns the router, node-0, k, and
+// fail, which lets the push fail and waits for that step to return.
+func stalledReplay(t *testing.T) (r *Router, owner *stallPeer, k uint64, fail func()) {
+	t.Helper()
+	r = New(Config{
+		Seed:           testSeed,
+		HeartbeatEvery: -1,
+		Breaker:        resilience.BreakerConfig{ConsecutiveFailures: 10},
+	})
+	t.Cleanup(r.Close)
+	owner = &stallPeer{
+		LocalPeer: NewLocalPeer(newTestEngine(t), testSeed),
+		entered:   make(chan struct{}),
+		release:   make(chan struct{}),
+	}
+	if err := r.Join("node-0", owner); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Join("node-1", NewLocalPeer(newTestEngine(t), testSeed)); err != nil {
+		t.Fatal(err)
+	}
+	k = keyOwnedBy(t, r, "node-0", 1)
+	owner.CutLink()
+	if err := r.Update(k, 1); !errors.Is(err, ErrHinted) {
+		t.Fatalf("Update over a cut link = %v, want ErrHinted", err)
+	}
+	owner.HealLink()
+	owner.armed.Store(true)
+	stepped := make(chan struct{})
+	go func() {
+		defer close(stepped)
+		r.step(time.Now())
+	}()
+	select {
+	case <-owner.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no step pushed the parked hint")
+	}
+	var once sync.Once
+	fail = func() {
+		once.Do(func() {
+			close(owner.release)
+			<-stepped
+		})
+	}
+	t.Cleanup(fail)
+	return r, owner, k, fail
+}
+
+// TestFailedReplayKeepsNewerHint: a hint parked for a key while an older
+// hint for it is being pushed survives that push's failure, and the next
+// replay delivers it.
+func TestFailedReplayKeepsNewerHint(t *testing.T) {
+	r, owner, k, fail := stalledReplay(t)
+	owner.CutLink()
+	if err := r.Update(k, 2); !errors.Is(err, ErrHinted) {
+		t.Fatalf("second Update over a cut link = %v, want ErrHinted", err)
+	}
+	owner.HealLink()
+	fail()
+	r.step(time.Now())
+	if v, ok, err := r.Query(k); err != nil || !ok || v != 2 {
+		t.Fatalf("Query(k) = (%d, %v, %v), want the newer hint 2", v, ok, err)
+	}
+	if n := r.PendingHints(); n != 0 {
+		t.Fatalf("%d hints pending after the replay, want 0", n)
+	}
+}
+
+// TestFailedReplayKeepsAckedWrite: a write the owner acks while an older
+// hint for its key is being pushed supersedes that hint, so the push's
+// failure does not park it again. Otherwise the next replay installs the
+// older value keep-existing into an owner that has since evicted the acked
+// one, and a hit returns a value older than the last acked write.
+func TestFailedReplayKeepsAckedWrite(t *testing.T) {
+	r, owner, k, fail := stalledReplay(t)
+	if err := r.Update(k, 3); err != nil {
+		t.Fatalf("Update over a healed link = %v, want an ack", err)
+	}
+	for i := uint64(1); i <= 200_000; i++ {
+		owner.Engine().Apply(engine.Op{Key: 1<<40 + i, Value: i, Token: policy.NoToken})
+	}
+	if _, _, ok := owner.Engine().Query(k); ok {
+		t.Fatal("k outlived 200,000 other keys; the scenario needs it evicted")
+	}
+	fail()
+	r.step(time.Now())
+	if v, ok, err := r.Query(k); err != nil || ok && v != 3 {
+		t.Fatalf("Query(k) = (%d, %v, %v); want a miss or the last acked value 3", v, ok, err)
+	}
+	if n := r.PendingHints(); n != 0 {
+		t.Fatalf("%d hints pending after the failed replay, want 0", n)
+	}
 }

@@ -3,6 +3,7 @@ package kvindex
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -60,23 +61,43 @@ func TestResolveRejectsBadCachedIndex(t *testing.T) {
 }
 
 // TestServerResolvesEveryKey: every loaded key resolves by walk to its value
-// at full index height, and by its own cached index without a walk.
+// at full index height, and by its own cached index without a walk. The
+// sizes straddle the first leaf split (15 | 16 keys) and the first chunk
+// boundary of the index's leaf-value slab (8,199 | 8,200 keys: 1,024 | 1,025
+// leaves).
 func TestServerResolvesEveryKey(t *testing.T) {
-	const items = 20_000
-	srv := NewServer(items)
-	h := srv.IndexHeight()
-	for k := uint64(1); k <= items; k++ {
-		idx, val, nodes, ok := srv.Resolve(k, 0, false)
-		if !ok || nodes != h || binary.LittleEndian.Uint64(val) != k^0xbadc0ffee {
-			t.Fatalf("walk Resolve(%d): ok=%v nodes=%d (height %d)", k, ok, nodes, h)
+	for _, items := range []int{1, 15, 16, 17, 8_199, 8_200, 20_000} {
+		srv := NewServer(items)
+		h := srv.IndexHeight()
+		for k := uint64(1); k <= uint64(items); k++ {
+			idx, val, nodes, ok := srv.Resolve(k, 0, false)
+			if !ok || nodes != h || binary.LittleEndian.Uint64(val) != k^0xbadc0ffee {
+				t.Fatalf("items=%d: walk Resolve(%d): ok=%v nodes=%d (height %d)", items, k, ok, nodes, h)
+			}
+			idx2, val2, nodes2, ok2 := srv.Resolve(k, idx, true)
+			if !ok2 || nodes2 != 0 || idx2 != idx || !bytes.Equal(val2, val) {
+				t.Fatalf("items=%d: cached Resolve(%d, %d): ok=%v nodes=%d idx=%d", items, k, idx, ok2, nodes2, idx2)
+			}
 		}
-		idx2, val2, nodes2, ok2 := srv.Resolve(k, idx, true)
-		if !ok2 || nodes2 != 0 || idx2 != idx || !bytes.Equal(val2, val) {
-			t.Fatalf("cached Resolve(%d, %d): ok=%v nodes=%d idx=%d", k, idx, ok2, nodes2, idx2)
+		if _, _, _, ok := srv.Resolve(uint64(items)+1, 0, false); ok {
+			t.Errorf("items=%d: resolved a key that was never loaded", items)
 		}
 	}
-	if _, _, _, ok := srv.Resolve(items+1, 0, false); ok {
-		t.Error("resolved a key that was never loaded")
+}
+
+// TestNewServerLeavesNoGoroutine: the goroutine that fills the value arena
+// is done when NewServer returns.
+func TestNewServerLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for range 4 {
+		NewServer(100_000)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after NewServer returned, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -222,3 +243,13 @@ func TestFewerQueriesThanThreads(t *testing.T) {
 		t.Errorf("queries = %d, want 3", res.Queries)
 	}
 }
+
+// BenchmarkServerLoad prices loading the LruIndex database every index
+// stack builds before it serves: a 1M-key index and its value arena.
+func BenchmarkServerLoad(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkServer = NewServer(1_000_000)
+	}
+}
+
+var sinkServer *Server
