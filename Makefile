@@ -2,9 +2,9 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_23.json
+BENCH_OUT ?= BENCH_24.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_20.json
+BENCH_BASE ?= BENCH_23.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
@@ -52,6 +52,8 @@ chaos:
 # 1/8/32/64) plus the isolated decode benchmark, and gates on the tentpole
 # claims: the batched path must be ≥2x the single-datagram baseline
 # (batch=64 ≤ 0.5× batch=1 ns/op) and per-packet decode must not allocate.
+# It also times one cluster node round trip (NodeCall: NodeClient.Query
+# against a loopback NodeServer), which must not allocate at either end.
 #
 # The cluster leg prices the router veneer: querying a local-owner key
 # through a one-node cluster.Router must cost ≤1.3× the bare engine and not
@@ -78,7 +80,7 @@ bench:
 		-benchtime=$(BENCH_TIME) ./internal/lru/ ./internal/engine/ ./internal/resilience/ \
 	&& $(GO) test -run '^$$' -bench 'TraceOverhead' -benchmem \
 		-benchtime=$(BENCH_TIME) -count=10 ./internal/engine/ \
-	&& $(GO) test -run '^$$' -bench 'WireLadder|NetDecode' -benchmem \
+	&& $(GO) test -run '^$$' -bench 'WireLadder|NetDecode|NodeCall' -benchmem \
 		-benchtime=$(BENCH_NET_TIME) ./internal/netproto/ \
 	&& $(GO) test -run '^$$' -bench 'ClusterRouter' -benchmem \
 		-benchtime=$(BENCH_TIME) -count=5 ./internal/cluster/ \
@@ -103,6 +105,7 @@ bench:
 		-maxratio 'TraceOverhead/trace=on<=1.05*TraceOverhead/trace=off' \
 		-maxratio 'WireLadder/batch=64<=0.5*WireLadder/batch=1' \
 		-zeroalloc 'NetDecode' \
+		-zeroalloc 'NodeCall' \
 		-maxratio 'ClusterRouter/path=local<=1.3*ClusterRouter/path=single' \
 		-zeroalloc 'ClusterRouter/path=local' \
 		-maxratio 'ClusterRouter/path=selfheal<=1.3*ClusterRouter/path=single' \

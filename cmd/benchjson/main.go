@@ -26,7 +26,8 @@
 // > 0) — the hit-path gate. -within compares against a previously committed
 // report: the matching benchmark's ns/op must be ≤ FACTOR × the same-named
 // benchmark in -baseline (a factor well above 1 absorbs CI noise while still
-// catching order-of-magnitude regressions). Custom benchmark metrics
+// catching order-of-magnitude regressions). A baseline recorded on another
+// cpu draws one warning line naming both; the gates still run. Custom benchmark metrics
 // (b.ReportMetric, e.g. p99-miss-ns) are parsed into each benchmark's
 // "metrics" map, and benchmarks reporting *-miss-ns metrics are summarized
 // in the report's miss_latency panel.
@@ -130,6 +131,11 @@ func main() {
 		if err := json.Unmarshal(data, base); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: parsing -baseline %s: %v\n", *baseline, err)
 			os.Exit(2)
+		}
+		if base.CPU != rep.CPU {
+			// -within factors assume one machine; say so when they cannot.
+			fmt.Fprintf(os.Stderr, "benchjson: warning: baseline %s was recorded on cpu %q, this run on %q\n",
+				*baseline, base.CPU, rep.CPU)
 		}
 	} else if len(withins) > 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: -within requires -baseline")

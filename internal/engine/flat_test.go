@@ -49,27 +49,49 @@ func TestWriterUsesBatchUpdater(t *testing.T) {
 	})
 }
 
-// TestApplyBatchZeroAlloc pins 0 allocs for the shard writer's batch-apply
-// loop over the flat core — the engine's steady-state write path.
+// TestApplyBatchZeroAlloc pins 0 allocs for the batch-apply paths over the
+// flat core: the shard writer's loop (the engine's steady-state write path)
+// and the public ApplyBatch on a multi-shard engine, which the switch's
+// reply path calls once per batch and which gathers per-shard buffers.
 func TestApplyBatchZeroAlloc(t *testing.T) {
-	e, err := NewFromSpec(
-		policy.Spec{Kind: policy.KindP4LRU3, MemBytes: 256 * 1024, Seed: 1},
-		Config{Shards: 1, Block: true},
-	)
-	if err != nil {
-		t.Fatal(err)
+	newEngine := func(t *testing.T, shards int) *Engine {
+		e, err := NewFromSpec(
+			policy.Spec{Kind: policy.KindP4LRU3, MemBytes: 256 * 1024, Seed: 1},
+			Config{Shards: shards, Block: true},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
 	}
-	defer e.Close()
-
 	batch := make([]Op, 64)
 	for i := range batch {
 		batch[i] = Op{Key: uint64(i * 2654435761), Value: uint64(i)}
 	}
-	s := e.shards[0]
-	e.applyBatch(s, batch) // grow the cache-side scratch once
-	if n := testing.AllocsPerRun(200, func() {
-		e.applyBatch(s, batch)
-	}); n != 0 {
-		t.Errorf("applyBatch allocates %v/batch over the flat core, want 0", n)
+	cases := []struct {
+		name   string
+		shards int
+		apply  func(e *Engine, ops []Op)
+	}{
+		{"writer", 1, func(e *Engine, ops []Op) { e.applyBatch(e.shards[0], ops) }},
+		{"ApplyBatch", 2, (*Engine).ApplyBatch},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.shards > 1 && raceEnabled {
+				t.Skip("gather buffers come from a sync.Pool")
+			}
+			e := newEngine(t, tc.shards)
+			for _, n := range []int{1, 8, 64} {
+				tc.apply(e, batch[:n]) // grow the cache-side scratch once
+				if allocs := testing.AllocsPerRun(200, func() {
+					tc.apply(e, batch[:n])
+				}); allocs != 0 {
+					t.Errorf("%d shards, %d ops: %v allocs/batch over the flat core, want 0",
+						tc.shards, n, allocs)
+				}
+			}
+		})
 	}
 }

@@ -21,11 +21,17 @@ type mmsghdr struct {
 
 // ringSys holds the per-slot syscall scaffolding: one iovec, one mmsghdr and
 // one sockaddr buffer per datagram slot, preallocated so batch calls touch
-// no heap.
+// no heap. The poller callbacks are built once per ring, and one call's
+// arguments and results live beside them: a closure built per call would
+// move it and its captured results to the heap on every batch.
 type ringSys struct {
 	hdrs []mmsghdr
 	iov  []syscall.Iovec
 	rsa  []syscall.RawSockaddrAny
+
+	n, done    int           // slots the current call moves; slots moved
+	errno      syscall.Errno // the current call's failure, if any
+	recv, send func(fd uintptr) bool
 }
 
 func (s *ringSys) init(n int) {
@@ -36,6 +42,35 @@ func (s *ringSys) init(n int) {
 		s.hdrs[i].hdr.Iov = &s.iov[i]
 		s.hdrs[i].hdr.Iovlen = 1
 	}
+	s.recv = func(fd uintptr) bool { return s.call(fd, sysRecvmmsg) }
+	s.send = func(fd uintptr) bool { return s.call(fd, sysSendmmsg) }
+}
+
+// call runs recvmmsg or sendmmsg over slots [done, n) until all n moved,
+// one read returned, or the call failed. It reports false to park on the
+// poller until the socket is ready. A partial send resumes from the first
+// unsent header.
+func (s *ringSys) call(fd, trap uintptr) bool {
+	for s.done < s.n {
+		rn, _, errno := syscall.Syscall6(trap, fd,
+			uintptr(unsafe.Pointer(&s.hdrs[s.done])), uintptr(s.n-s.done),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch errno {
+		case 0:
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			s.errno = errno
+			return true
+		}
+		s.done += int(rn)
+		if trap == sysRecvmmsg {
+			return true // one read is a batch: never wait for a full ring
+		}
+	}
+	return true
 }
 
 // connSys carries the RawConn used to run recvmmsg/sendmmsg inside the
@@ -57,98 +92,61 @@ func (s *connSys) init(uc *net.UDPConn) error {
 // returning the count. It blocks (honouring the conn's read deadline) until
 // at least one datagram arrives.
 func (c *Conn) ReadBatch(r *Ring) (int, error) {
-	n := len(r.ds)
-	for i := 0; i < n; i++ {
-		// Re-arm every slot: compaction may have swapped Buf slices
-		// between slots, and the kernel clobbers Namelen on each call.
-		r.sys.iov[i].Base = &r.ds[i].Buf[0]
-		r.sys.iov[i].SetLen(len(r.ds[i].Buf))
-		r.sys.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.sys.rsa[i]))
-		r.sys.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
-		r.sys.hdrs[i].n = 0
+	s := &r.sys
+	for i := 0; i < r.dirty; i++ {
+		// Re-arm the slots the last read, write or Swap touched: a swap
+		// moves Buf slices between slots, a write points the header at its
+		// destination, and the kernel clobbers Namelen on each read.
+		s.iov[i].Base = &r.ds[i].Buf[0]
+		s.iov[i].SetLen(len(r.ds[i].Buf))
+		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.rsa[i]))
+		s.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
 	}
-	var got int
-	var sysErr error
-	err := c.sys.rc.Read(func(fd uintptr) bool {
-		for {
-			rn, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&r.sys.hdrs[0])), uintptr(n),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			if errno == syscall.EINTR {
-				continue
-			}
-			if errno == syscall.EAGAIN {
-				return false // park on the poller until readable
-			}
-			if errno != 0 {
-				sysErr = errno
-			} else {
-				got = int(rn)
-			}
-			return true
-		}
-	})
+	r.dirty = 0
+	s.n, s.done, s.errno = len(r.ds), 0, 0
+	err := c.sys.rc.Read(s.recv)
+	if err == nil && s.errno != 0 {
+		err = &net.OpError{Op: "recvmmsg", Net: "udp", Addr: c.uc.LocalAddr(), Err: s.errno}
+	}
 	if err != nil {
 		return 0, err
 	}
-	if sysErr != nil {
-		return 0, &net.OpError{Op: "recvmmsg", Net: "udp", Addr: c.uc.LocalAddr(), Err: sysErr}
-	}
+	got := s.done
 	for i := 0; i < got; i++ {
-		r.ds[i].N = int(r.sys.hdrs[i].n)
-		r.ds[i].Addr = sockaddrToAddrPort(&r.sys.rsa[i])
+		r.ds[i].N = int(s.hdrs[i].n)
+		r.ds[i].Addr = sockaddrToAddrPort(&s.rsa[i])
 	}
+	r.dirty = got
 	return got, nil
 }
 
 // WriteBatch sends the first n datagrams of r, looping sendmmsg until the
-// whole batch is on the wire (a partial send resumes from the first unsent
-// header). A slot with the zero Addr is sent to the connected peer.
+// whole batch is on the wire. A slot with the zero Addr is sent to the
+// connected peer.
 func (c *Conn) WriteBatch(r *Ring, n int) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
+	s := &r.sys
 	for i := 0; i < n; i++ {
-		r.sys.iov[i].Base = &r.ds[i].Buf[0]
-		r.sys.iov[i].SetLen(r.ds[i].N)
+		s.iov[i].Base = &r.ds[i].Buf[0]
+		s.iov[i].SetLen(r.ds[i].N)
 		if r.ds[i].Addr.IsValid() {
-			salen := addrPortToSockaddr(r.ds[i].Addr, &r.sys.rsa[i])
-			r.sys.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.sys.rsa[i]))
-			r.sys.hdrs[i].hdr.Namelen = salen
+			salen := addrPortToSockaddr(r.ds[i].Addr, &s.rsa[i])
+			s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.rsa[i]))
+			s.hdrs[i].hdr.Namelen = salen
 		} else {
-			r.sys.hdrs[i].hdr.Name = nil
-			r.sys.hdrs[i].hdr.Namelen = 0
+			s.hdrs[i].hdr.Name = nil
+			s.hdrs[i].hdr.Namelen = 0
 		}
-		r.sys.hdrs[i].n = 0
 	}
-	sent := 0
-	var sysErr error
-	err := c.sys.rc.Write(func(fd uintptr) bool {
-		for sent < n {
-			wn, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&r.sys.hdrs[sent])), uintptr(n-sent),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			if errno == syscall.EINTR {
-				continue
-			}
-			if errno == syscall.EAGAIN {
-				return false
-			}
-			if errno != 0 {
-				sysErr = errno
-				return true
-			}
-			sent += int(wn)
-		}
-		return true
-	})
-	if err != nil {
-		return sent, err
+	r.dirty = max(r.dirty, n)
+	s.n, s.done, s.errno = n, 0, 0
+	err := c.sys.rc.Write(s.send)
+	if err == nil && s.errno != 0 {
+		err = &net.OpError{Op: "sendmmsg", Net: "udp", Addr: c.uc.LocalAddr(), Err: s.errno}
 	}
-	if sysErr != nil {
-		return sent, &net.OpError{Op: "sendmmsg", Net: "udp", Addr: c.uc.LocalAddr(), Err: sysErr}
-	}
-	return sent, nil
+	return s.done, err
 }
 
 // sockaddrToAddrPort decodes a kernel-filled sockaddr into a netip.AddrPort,

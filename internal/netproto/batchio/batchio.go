@@ -55,6 +55,9 @@ func (d *Datagram) Bytes() []byte { return d.Buf[:d.N] }
 type Ring struct {
 	ds  []Datagram
 	sys ringSys
+	// dirty bounds the slots whose syscall scaffolding may no longer match
+	// a read: [0, dirty) is what the last read, write or Swap touched.
+	dirty int
 }
 
 // NewRing builds a ring of n datagram slots with bufSize-byte buffers
@@ -66,7 +69,7 @@ func NewRing(n, bufSize int) *Ring {
 	if bufSize <= 0 {
 		bufSize = 2048
 	}
-	r := &Ring{ds: make([]Datagram, n)}
+	r := &Ring{ds: make([]Datagram, n), dirty: n}
 	for i := range r.ds {
 		r.ds[i].Buf = make([]byte, bufSize)
 	}
@@ -81,7 +84,11 @@ func (r *Ring) Datagrams() []Datagram { return r.ds }
 func (r *Ring) Len() int { return len(r.ds) }
 
 // Swap exchanges two slots (compaction: keep valid packets contiguous).
-func (r *Ring) Swap(i, j int) { r.ds[i], r.ds[j] = r.ds[j], r.ds[i] }
+// It is the only way to move a slot's Buf: the ring re-arms what it swaps.
+func (r *Ring) Swap(i, j int) {
+	r.ds[i], r.ds[j] = r.ds[j], r.ds[i]
+	r.dirty = max(r.dirty, i+1, j+1)
+}
 
 // Conn wraps a *net.UDPConn with batched reads and writes against a Ring.
 // Deadlines and Close act on the underlying conn exactly as for net.UDPConn:

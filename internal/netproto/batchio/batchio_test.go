@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -114,17 +115,112 @@ func TestRingReuseAfterSwap(t *testing.T) {
 	send("first-payload")
 	first := append([]byte(nil), recvOne()...)
 
-	// Shuffle the ring as a compaction pass would, then reuse it.
+	// Shuffle the ring as a compaction pass would, then reuse it. Slots 1
+	// and 2 took no datagram above, so only the swap tells the ring that
+	// their buffers moved.
 	r.Swap(0, 3)
 	r.Swap(1, 2)
 
-	send("second-payload")
-	second := recvOne()
-	if !bytes.Equal(second, []byte("second-payload")) {
-		t.Fatalf("after swap, slot 0 read %q", second)
+	want := []string{"second-payload", "third-payload!", "fourth-payload"}
+	for _, msg := range want {
+		send(msg)
+	}
+	var got []string
+	for len(got) < len(want) {
+		rxc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := rxc.ReadBatch(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range r.Datagrams()[:n] {
+			got = append(got, string(d.Bytes()))
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after swaps the ring read %q, want %q", got, want)
 	}
 	if !bytes.Equal(first, []byte("first-payload")) {
 		t.Fatalf("copied-out first payload mutated to %q", first)
+	}
+}
+
+// TestRingReadAfterWrite covers a ring that both reads and writes, as a
+// server's does: a write leaves short lengths and destinations in the slots
+// it sent, and the next read into those slots must still take full-size
+// datagrams with their sources.
+func TestRingReadAfterWrite(t *testing.T) {
+	a := listenLocal(t)
+	defer a.Close()
+	b := listenLocal(t)
+	defer b.Close()
+	ac, _ := NewConn(a)
+	aAddr := a.LocalAddr().(*net.UDPAddr)
+	bAddr := b.LocalAddr().(*net.UDPAddr).AddrPort()
+	bAddr = netip.AddrPortFrom(bAddr.Addr().Unmap(), bAddr.Port())
+	r := NewRing(4, 128)
+	ds := r.Datagrams()
+	read := func(want []byte, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := b.WriteToUDP(want, aAddr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for n > 0 {
+			ac.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := ac.ReadBatch(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range ds[:got] {
+				if !bytes.Equal(d.Bytes(), want) || d.Addr != bAddr {
+					t.Fatalf("read %d bytes from %v, want %d from %v", d.N, d.Addr, len(want), bAddr)
+				}
+			}
+			n -= got
+		}
+	}
+
+	// One read first, so that only the write below marks slot 1.
+	read([]byte("warm"), 1)
+	for i := 0; i < 2; i++ {
+		ds[i].N = copy(ds[i].Buf, "hi")
+		ds[i].Addr = bAddr
+	}
+	if sent, err := ac.WriteBatch(r, 2); err != nil || sent != 2 {
+		t.Fatalf("WriteBatch = %d, %v; want 2, nil", sent, err)
+	}
+	read(bytes.Repeat([]byte("x"), 100), 2)
+}
+
+// TestBatchPairZeroAlloc pins the package promise that nothing on the
+// ReadBatch/WriteBatch path allocates: one datagram written and read back
+// over loopback, the shape a request/response server sees at low load.
+func TestBatchPairZeroAlloc(t *testing.T) {
+	rx := listenLocal(t)
+	defer rx.Close()
+	tx := listenLocal(t)
+	defer tx.Close()
+	txc, _ := NewConn(tx)
+	rxc, _ := NewConn(rx)
+
+	dst := rx.LocalAddr().(*net.UDPAddr).AddrPort()
+	out, in := NewRing(4, 128), NewRing(64, 128)
+	d := &out.Datagrams()[0]
+	d.N = copy(d.Buf, "ping")
+	d.Addr = netip.AddrPortFrom(dst.Addr().Unmap(), dst.Port())
+	pair := func() {
+		if _, err := txc.WriteBatch(out, 1); err != nil {
+			t.Fatal(err)
+		}
+		rxc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if got, err := rxc.ReadBatch(in); err != nil || got != 1 {
+			t.Fatalf("ReadBatch = %d, %v; want 1, nil", got, err)
+		}
+	}
+	pair()
+	if n := testing.AllocsPerRun(200, pair); n != 0 {
+		t.Errorf("a WriteBatch + ReadBatch pair allocates %v times, want 0", n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/netproto/batchio"
+	"github.com/p4lru/p4lru/internal/policy"
 )
 
 // benchStack brings up a full loopback server + switch pair sized for
@@ -114,5 +115,42 @@ func BenchmarkNetDecode(b *testing.B) {
 	}
 	if sink == 0 {
 		b.Fatal("impossible: keys start at 1")
+	}
+}
+
+// BenchmarkNodeCall is one cluster node round trip over loopback: a
+// NodeClient.Query of a resident key against a NodeServer, one op in
+// flight, the way the router drives each peer. Allocations count both
+// ends, so the -zeroalloc bench gate pins the node's serve path and the
+// client's call path together.
+func BenchmarkNodeCall(b *testing.B) {
+	eng, err := engine.NewFromSpec(
+		policy.Spec{Kind: policy.KindP4LRU3, MemBytes: 256 << 10, Seed: 1},
+		engine.Config{Shards: 2, Block: true},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	s, err := NewNodeServer("127.0.0.1:0", NodeConfig{Engine: eng, RingSeed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	c, err := DialNode(s.UDPAddr(), s.TCPAddr(), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Update(1, 10); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := c.Query(1); err != nil || !ok {
+			b.Fatalf("Query = (%v, %v)", ok, err)
+		}
 	}
 }

@@ -168,7 +168,7 @@ func TestEndToEndWorkload(t *testing.T) {
 	if hitRate < 0.3 {
 		t.Errorf("hit rate %.3f too low for a Zipf workload", hitRate)
 	}
-	if sw.CacheLen() == 0 {
+	if sw.Stats().CacheLen == 0 {
 		t.Error("switch cache empty after workload")
 	}
 	// Cached queries must skip the index walk.
@@ -228,7 +228,6 @@ func TestConcurrentClientsShardedProgress(t *testing.T) {
 		ServerAddr: srv.Addr(),
 		Policy:     seriesSpec(2, 256),
 		Shards:     4,
-		Readers:    4,
 	})
 	if err != nil {
 		srv.Close()

@@ -12,7 +12,9 @@ import (
 
 	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/hashing"
+	"github.com/p4lru/p4lru/internal/netproto/batchio"
 	"github.com/p4lru/p4lru/internal/obs"
+	"github.com/p4lru/p4lru/internal/obs/span"
 	"github.com/p4lru/p4lru/internal/policy"
 )
 
@@ -42,11 +44,9 @@ type NodeServer struct {
 	posHash hashing.Hash
 	gossip  func(in []MemberDigest) []MemberDigest
 
-	udp *net.UDPConn
-	tcp net.Listener
-
-	closed atomic.Bool
-	wg     sync.WaitGroup
+	plane plane
+	tcp   net.Listener
+	wg    sync.WaitGroup // the TCP plane's accept loop and streams
 
 	pings, queries, updates, migrations, gossips *obs.Counter
 }
@@ -63,39 +63,26 @@ type NodeConfig struct {
 	// Gossip, when non-nil, answers MsgGossip exchanges: the handler merges
 	// the sender's membership digest and returns the node's own view, which
 	// rides back on the MsgGossipAck. The cluster layer's Membership.Exchange
-	// has exactly this signature. nil nodes ignore gossip datagrams.
+	// has exactly this signature. nil nodes ignore gossip datagrams. The
+	// node's readers call it concurrently, so it must be safe for that
+	// (Membership.Exchange takes its own lock).
 	Gossip func(in []MemberDigest) []MemberDigest
 	// Obs, when non-nil, receives node_pings_total, node_queries_total,
 	// node_updates_total, node_migrations_total and node_gossips_total.
 	Obs *obs.Registry
 }
 
-// NewNodeServer binds a UDP socket and a TCP listener on addr (use
-// "127.0.0.1:0" in tests; the two planes get independent ports, read them
-// back via UDPAddr/TCPAddr) and serves until Close.
+// NewNodeServer binds the UDP operation plane and a TCP listener on addr
+// (use "127.0.0.1:0" in tests; the two planes get independent ports, read
+// them back via UDPAddr/TCPAddr) and serves until Close.
 func NewNodeServer(addr string, cfg NodeConfig) (*NodeServer, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("netproto: NodeConfig.Engine is required")
-	}
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netproto: node addr: %w", err)
-	}
-	udp, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		return nil, fmt.Errorf("netproto: node udp listen: %w", err)
-	}
-	tcp, err := net.Listen("tcp", addr)
-	if err != nil {
-		udp.Close()
-		return nil, fmt.Errorf("netproto: node tcp listen: %w", err)
 	}
 	s := &NodeServer{
 		eng:     cfg.Engine,
 		posHash: hashing.New(cfg.RingSeed),
 		gossip:  cfg.Gossip,
-		udp:     udp,
-		tcp:     tcp,
 	}
 	if r := cfg.Obs; r != nil {
 		s.pings = r.Counter("node_pings_total")
@@ -104,52 +91,55 @@ func NewNodeServer(addr string, cfg NodeConfig) (*NodeServer, error) {
 		s.migrations = r.Counter("node_migrations_total")
 		s.gossips = r.Counter("node_gossips_total")
 	}
-	s.wg.Add(2)
-	go s.udpLoop()
+	// The node traces nothing: its spans stay inert.
+	if err := s.plane.listenAndServe(addr, s.answer, span.KindNone); err != nil {
+		return nil, fmt.Errorf("netproto: node udp listen: %w", err)
+	}
+	var err error
+	if s.tcp, err = net.Listen("tcp", addr); err != nil {
+		s.plane.close()
+		return nil, fmt.Errorf("netproto: node tcp listen: %w", err)
+	}
+	s.wg.Add(1)
 	go s.tcpLoop()
 	return s, nil
 }
 
 // UDPAddr returns the bound operation-plane address.
-func (s *NodeServer) UDPAddr() *net.UDPAddr { return s.udp.LocalAddr().(*net.UDPAddr) }
+func (s *NodeServer) UDPAddr() *net.UDPAddr { return s.plane.addr() }
 
 // TCPAddr returns the bound migration-plane address.
 func (s *NodeServer) TCPAddr() string { return s.tcp.Addr().String() }
 
-// Close stops both planes. The engine is left running (the caller owns it).
+// Close stops both planes, the UDP one draining first: every request a
+// reader took off the socket gets its reply before the sockets close. The
+// engine is left running (the caller owns it).
 func (s *NodeServer) Close() {
-	if !s.closed.CompareAndSwap(false, true) {
-		return
-	}
-	_ = s.udp.Close()
+	_ = s.plane.close()
 	_ = s.tcp.Close()
 	s.wg.Wait()
 }
 
-// udpLoop answers pings, point queries and synchronous updates, one
-// datagram at a time — the cluster control/operation plane is far below the
-// batched data-path rates the switch serves, so the simple loop is enough.
-func (s *NodeServer) udpLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, packetBufSize)
-	for {
-		n, peer, err := s.udp.ReadFromUDP(buf)
-		if err != nil {
-			if s.closed.Load() {
-				return
-			}
-			continue
-		}
+// answer serves one batch of the operation plane: pings, gossip exchanges,
+// point queries and synchronous updates, each reply written over its
+// request in the same ring slot and sent back to the request's source.
+// Malformed datagrams and unknown types are dropped. The cluster's node
+// client keeps one op in flight per peer, so at today's load a batch is
+// usually one datagram.
+func (s *NodeServer) answer(ring *batchio.Ring, got int, spans []span.Span) int {
+	ds := ring.Datagrams()
+	keep := 0
+	for i := 0; i < got; i++ {
+		d := &ds[i]
 		var msg Message
-		if err := msg.Unmarshal(buf[:n]); err != nil {
+		if err := msg.Unmarshal(d.Bytes()); err != nil {
 			continue
 		}
-		var out int
 		switch msg.Type {
 		case MsgPing:
 			s.pings.Inc()
-			putHeader(buf, MsgPong, 0, msg.Key, 0)
-			out = headerSize
+			putHeader(d.Buf, MsgPong, 0, msg.Key, 0)
+			d.N = headerSize
 		case MsgGossip:
 			in, err := parseMemberDigests(msg.Value)
 			if err != nil {
@@ -166,12 +156,14 @@ func (s *NodeServer) udpLoop() {
 			if s.gossip != nil {
 				reply = s.gossip(in)
 			}
-			putHeader(buf, MsgGossipAck, 0, msg.Key, 0)
-			full, err := appendMemberDigests(buf[:headerSize], reply)
+			putHeader(d.Buf, MsgGossipAck, 0, msg.Key, 0)
+			// The encoder refuses to outgrow the packet buffer, so the
+			// digest lands in d.Buf itself.
+			full, err := appendMemberDigests(d.Buf[:headerSize], reply)
 			if err != nil {
 				continue
 			}
-			out = len(full)
+			d.N = len(full)
 		case MsgQuery:
 			s.queries.Inc()
 			v, _, ok := s.eng.Query(msg.Key)
@@ -179,8 +171,8 @@ func (s *NodeServer) udpLoop() {
 			if ok {
 				flag = 1
 			}
-			putHeader(buf, MsgReply, flag, msg.Key, v)
-			out = headerSize
+			putHeader(d.Buf, MsgReply, flag, msg.Key, v)
+			d.N = headerSize
 		case MsgUpdate:
 			s.updates.Inc()
 			s.eng.Apply(engine.Op{
@@ -191,13 +183,14 @@ func (s *NodeServer) udpLoop() {
 			})
 			// Ack strictly after Apply returned: acked ⇒ applied. The ack
 			// echoes the value, so a late ack cannot pass for a later write's.
-			putHeader(buf, MsgUpdateAck, 0, msg.Key, msg.CachedIndex)
-			out = headerSize
+			putHeader(d.Buf, MsgUpdateAck, 0, msg.Key, msg.CachedIndex)
+			d.N = headerSize
 		default:
 			continue
 		}
-		_, _ = s.udp.WriteToUDP(buf[:out], peer)
+		keep = keepSlot(ring, spans, keep, i, span.Span{})
 	}
+	return keep
 }
 
 // tcpLoop accepts migration streams.
@@ -206,7 +199,7 @@ func (s *NodeServer) tcpLoop() {
 	for {
 		conn, err := s.tcp.Accept()
 		if err != nil {
-			if s.closed.Load() {
+			if s.plane.closed.Load() {
 				return
 			}
 			continue

@@ -15,22 +15,44 @@ import (
 // TestServerCloseUnderLoad is the regression test for the close/drain race:
 // Close used to tear the socket down before waiting for the reader
 // goroutines, so handlers mid-resolve lost their replies. With the drain
-// order every query the server read gets its reply out before the conn
-// closes, so queries == replies must hold exactly.
+// order every query a server read gets its reply out before the conn
+// closes, so what it read and what it replied must match exactly — for the
+// index server and for the cluster node, which serve over the same plane.
 func TestServerCloseUnderLoad(t *testing.T) {
 	const items = 1000
-	srv, err := NewServer("127.0.0.1:0", items)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Run("server", func(t *testing.T) {
+		srv, err := NewServer("127.0.0.1:0", items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeUnderLoad(t, srv.Addr(), items, func() int64 { return srv.Stats().Queries }, srv.Close)
+		if st := srv.Stats(); st.Replies != st.Queries {
+			t.Fatalf("Close dropped in-flight replies: queries=%d replies=%d", st.Queries, st.Replies)
+		}
+	})
+	t.Run("node", func(t *testing.T) {
+		s, err := NewNodeServer("127.0.0.1:0", NodeConfig{Engine: newNodeEngine(t), RingSeed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeUnderLoad(t, s.UDPAddr(), items, s.plane.recvPackets.Load, func() error { s.Close(); return nil })
+		if read, sent := s.plane.recvPackets.Load(), s.plane.sent.Load(); read != sent {
+			t.Fatalf("Close dropped in-flight replies: read=%d replied=%d", read, sent)
+		}
+	})
+}
 
+// closeUnderLoad floods addr with queries from four senders and calls
+// closeFn mid-stream, once read reports a query taken off the socket.
+func closeUnderLoad(t *testing.T, addr *net.UDPAddr, items uint64, read func() int64, closeFn func() error) {
+	t.Helper()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			conn, err := net.DialUDP("udp", nil, srv.Addr())
+			conn, err := net.DialUDP("udp", nil, addr)
 			if err != nil {
 				return
 			}
@@ -50,24 +72,19 @@ func TestServerCloseUnderLoad(t *testing.T) {
 	}
 
 	// Let traffic build, then close mid-stream. The senders can starve the
-	// server's readers for longer than the sleep on a small host, so also
-	// wait (bounded) until the server has read a query.
+	// readers for longer than the sleep on a small host, so also wait
+	// (bounded) until a query has been read.
 	time.Sleep(30 * time.Millisecond)
-	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Queries == 0 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); read() == 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if err := srv.Close(); err != nil {
+	if err := closeFn(); err != nil {
 		t.Fatalf("Close under load: %v", err)
 	}
 	close(stop)
 	wg.Wait()
-
-	st := srv.Stats()
-	if st.Queries == 0 {
-		t.Fatal("no queries reached the server before Close — test proves nothing")
-	}
-	if st.Replies != st.Queries {
-		t.Fatalf("Close dropped in-flight replies: queries=%d replies=%d", st.Queries, st.Replies)
+	if read() == 0 {
+		t.Fatal("no queries were read before Close — test proves nothing")
 	}
 }
 
@@ -135,7 +152,10 @@ func TestServerSurvivesCraftedCachedIndex(t *testing.T) {
 // must keep answering queries.
 func TestSwitchSurvivesForgedReplyLevel(t *testing.T) {
 	_, sw := startStack(t, 1000, 2, 64)
-	conn, err := net.DialUDP("udp", nil, sw.serverConns[0].UDP().LocalAddr().(*net.UDPAddr))
+	// The switch adopts its server-facing sockets after its client-facing
+	// group, so the last socket it owns faces the server.
+	upstream := sw.plane.conns[len(sw.plane.conns)-1]
+	conn, err := net.DialUDP("udp", nil, upstream.UDP().LocalAddr().(*net.UDPAddr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +218,12 @@ func TestSwitchWarmRestart(t *testing.T) {
 	if st.Queries == 0 || st.Invalid > 0 {
 		t.Fatalf("warm-up run: %+v", st)
 	}
-	if sw1.CacheLen() == 0 {
+	if sw1.Stats().CacheLen == 0 {
 		t.Fatal("warm-up left the cache empty")
 	}
 
 	var snap bytes.Buffer
-	if err := sw1.Snapshot(&snap); err != nil {
+	if err := sw1.Engine().Snapshot(&snap); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	if err := sw1.Close(); err != nil {
@@ -218,14 +238,14 @@ func TestSwitchWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw2.Close()
-	restored, err := sw2.RestoreSnapshot(bytes.NewReader(snap.Bytes()))
+	restored, err := sw2.Engine().RestoreSnapshot(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatalf("RestoreSnapshot: %v", err)
 	}
 	// Restore is best-effort for a series cache (everything re-enters at
 	// level 1), but it must not come back cold.
-	if restored == 0 || sw2.CacheLen() == 0 {
-		t.Fatalf("restore came back cold: restored=%d CacheLen=%d", restored, sw2.CacheLen())
+	if restored == 0 || sw2.Stats().CacheLen == 0 {
+		t.Fatalf("restore came back cold: restored=%d CacheLen=%d", restored, sw2.Stats().CacheLen)
 	}
 
 	// Collect resident keys first — querying inside Range would have the

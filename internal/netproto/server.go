@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,24 +25,17 @@ import (
 // goroutine owns an SO_REUSEPORT socket, so the kernel fans flows across
 // cores.
 type Server struct {
-	conns   []*batchio.Conn
+	plane   plane
 	db      *kvindex.Server
 	shedder *resilience.Shedder
 	health  *resilience.Health
 	tracer  *span.Tracer
-	batch   int
-
-	wg     sync.WaitGroup
-	closed atomic.Bool
 
 	// Stats.
 	queries     atomic.Int64
-	replies     atomic.Int64
 	shed        atomic.Int64
 	indexWalks  atomic.Int64
 	nodesWalked atomic.Int64
-	recvBatches atomic.Int64
-	recvPackets atomic.Int64
 }
 
 // ServerOption tunes a Server beyond the required parameters.
@@ -67,15 +58,15 @@ func ServerWithSpan(t *span.Tracer) ServerOption {
 }
 
 // NewServer starts a server on addr (e.g. "127.0.0.1:0") over a database of
-// `items` keys. The database is read-only after load, so several loop
-// goroutines answer queries concurrently.
+// `items` keys. The database is read-only after load, so several readers
+// answer queries concurrently.
 func NewServer(addr string, items int, opts ...ServerOption) (*Server, error) {
-	s := &Server{db: kvindex.NewServer(items), health: resilience.NewHealth(), batch: 64}
+	s := &Server{db: kvindex.NewServer(items), health: resilience.NewHealth()}
 	for _, o := range opts {
 		o(s)
 	}
 	s.health.Register("shutdown", func() error {
-		if s.closed.Load() {
+		if s.plane.closed.Load() {
 			return errors.New("netproto: server shutting down")
 		}
 		return nil
@@ -83,42 +74,14 @@ func NewServer(addr string, items int, opts ...ServerOption) (*Server, error) {
 	if s.shedder != nil {
 		s.health.Register("shedder", s.shedder.Check)
 	}
-	readers := runtime.GOMAXPROCS(0)
-	if readers < 2 {
-		readers = 2
-	}
-	if readers > 8 {
-		readers = 8
-	}
-	ucs, err := batchio.ListenReuse(addr, readers)
-	if err != nil {
+	if err := s.plane.listenAndServe(addr, s.answer, span.KindReply); err != nil {
 		return nil, fmt.Errorf("netproto: listen: %w", err)
-	}
-	for _, uc := range ucs {
-		bc, err := batchio.NewConn(uc)
-		if err != nil {
-			for _, c := range s.conns {
-				c.Close()
-			}
-			for _, u := range ucs {
-				u.Close()
-			}
-			return nil, fmt.Errorf("netproto: batch conn: %w", err)
-		}
-		s.conns = append(s.conns, bc)
-	}
-	s.wg.Add(readers)
-	for i := 0; i < readers; i++ {
-		// Portable builds get one socket; the readers share it.
-		go s.loop(s.conns[i%len(s.conns)])
 	}
 	return s, nil
 }
 
 // Addr returns the bound address.
-func (s *Server) Addr() *net.UDPAddr {
-	return s.conns[0].UDP().LocalAddr().(*net.UDPAddr)
-}
+func (s *Server) Addr() *net.UDPAddr { return s.plane.addr() }
 
 // ServerStats is one snapshot of the server's serving counters — the single
 // accessor that replaced the scattered tuple getters. After a clean Close,
@@ -137,12 +100,12 @@ type ServerStats struct {
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
 		Queries:     s.queries.Load(),
-		Replies:     s.replies.Load(),
+		Replies:     s.plane.sent.Load(),
 		Shed:        s.shed.Load(),
 		IndexWalks:  s.indexWalks.Load(),
 		NodesWalked: s.nodesWalked.Load(),
-		RecvBatches: s.recvBatches.Load(),
-		RecvPackets: s.recvPackets.Load(),
+		RecvBatches: s.plane.recvBatches.Load(),
+		RecvPackets: s.plane.recvPackets.Load(),
 	}
 }
 
@@ -152,106 +115,60 @@ func (s *Server) Stats() ServerStats {
 // Register more — e.g. a backing breaker's Check.
 func (s *Server) Health() *resilience.Health { return s.health }
 
-// Close stops the server, draining in-flight request handling first: the
-// read deadline kicks blocked readers out of their batch reads without
-// tearing down the sockets, so handlers mid-resolve still send their
-// replies before the conns close. The old order (close, then wait) raced
-// handlers against the dying socket and silently ate their replies.
-func (s *Server) Close() error {
-	s.closed.Store(true)
-	now := time.Now()
-	for _, c := range s.conns {
-		_ = c.SetReadDeadline(now)
-	}
-	s.wg.Wait()
-	var firstErr error
-	for _, c := range s.conns {
-		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+// Close stops the server, draining in-flight request handling first: every
+// query a reader took off the socket gets its reply out before the sockets
+// close.
+func (s *Server) Close() error { return s.plane.close() }
 
-// loop is one reader's serve cycle: drain a batch, rewrite each query into
-// its reply in place, compact out drops (malformed, shed, unknown key), and
-// send the surviving batch back in one call.
-func (s *Server) loop(c *batchio.Conn) {
-	defer s.wg.Done()
-	ring := batchio.NewRing(s.batch, packetBufSize)
-	spans := make([]span.Span, s.batch)
-	for {
-		got, err := c.ReadBatch(ring)
-		if err != nil {
-			if s.closed.Load() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.recvBatches.Add(1)
-		s.recvPackets.Add(int64(got))
-		var start time.Time
-		if s.shedder != nil {
-			start = time.Now()
-		}
-		ds := ring.Datagrams()
-		keep := 0
-		for i := 0; i < got; i++ {
-			d := &ds[i]
-			sp := s.tracer.Start(0, 0)
-			var msg Message
-			if err := msg.Unmarshal(d.Bytes()); err != nil || msg.Type != MsgQuery {
-				continue // drop malformed traffic
-			}
-			sp.SetKey(msg.Key)
-			sp.Mark(span.StageDecode)
-			s.queries.Add(1)
-			if s.shedder != nil && !s.shedder.Admit(resilience.PriNormal, 0) {
-				s.shed.Add(1)
-				sp.SetFlags(span.FlagShed)
-				sp.Finish(span.KindShed)
-				continue // to the client this is packet loss; retries absorb it
-			}
-
-			idx, value, nodes, ok := s.db.Resolve(msg.Key, msg.CachedIndex, msg.CachedFlag != 0)
-			sp.Mark(span.StageApply) // the server's service stage: the index resolve
-			if !ok {
-				continue // unknown key: drop (clients only ask for loaded keys)
-			}
-			if nodes > 0 {
-				s.indexWalks.Add(1)
-				s.nodesWalked.Add(int64(nodes))
-			}
-			if msg.CachedFlag != 0 {
-				sp.SetFlags(span.FlagHit) // cached_flag token: arena read, no walk
-			}
-
-			// Rewrite the query into its reply in the same ring slot; the
-			// source address is already in place as the destination.
-			d.N = PutReply(d.Buf, msg.CachedFlag, msg.Key, idx, value)
-			if keep != i {
-				ring.Swap(keep, i)
-			}
-			spans[keep] = sp
-			keep++
-		}
-		if keep == 0 {
-			continue
-		}
-		if s.shedder != nil {
-			// Per-query handling latency: decode, admission and resolve,
-			// amortized over the batch's queries. It is observed before the
-			// send, so a sample never lands after the client has its reply.
-			s.shedder.Observe(time.Since(start) / time.Duration(keep))
-		}
-		sent, werr := c.WriteBatch(ring, keep)
-		s.replies.Add(int64(sent))
-		for i := 0; i < sent; i++ {
-			spans[i].Mark(span.StageWire)
-			spans[i].Finish(span.KindReply)
-		}
-		if werr != nil && s.closed.Load() {
-			return
-		}
+// answer rewrites each query of a batch into its reply in the same ring
+// slot and drops malformed traffic, shed queries and unknown keys.
+func (s *Server) answer(ring *batchio.Ring, got int, spans []span.Span) int {
+	var start time.Time
+	if s.shedder != nil {
+		start = time.Now()
 	}
+	ds := ring.Datagrams()
+	keep := 0
+	for i := 0; i < got; i++ {
+		d := &ds[i]
+		sp := s.tracer.Start(0, 0)
+		var msg Message
+		if err := msg.Unmarshal(d.Bytes()); err != nil || msg.Type != MsgQuery {
+			continue // drop malformed traffic
+		}
+		sp.SetKey(msg.Key)
+		sp.Mark(span.StageDecode)
+		s.queries.Add(1)
+		if s.shedder != nil && !s.shedder.Admit(resilience.PriNormal, 0) {
+			s.shed.Add(1)
+			sp.SetFlags(span.FlagShed)
+			sp.Finish(span.KindShed)
+			continue // to the client this is packet loss; retries absorb it
+		}
+
+		idx, value, nodes, ok := s.db.Resolve(msg.Key, msg.CachedIndex, msg.CachedFlag != 0)
+		sp.Mark(span.StageApply) // the server's service stage: the index resolve
+		if !ok {
+			continue // unknown key: drop (clients only ask for loaded keys)
+		}
+		if nodes > 0 {
+			s.indexWalks.Add(1)
+			s.nodesWalked.Add(int64(nodes))
+		}
+		if msg.CachedFlag != 0 {
+			sp.SetFlags(span.FlagHit) // cached_flag token: arena read, no walk
+		}
+
+		// Rewrite the query into its reply in the same ring slot; the
+		// source address is already in place as the destination.
+		d.N = PutReply(d.Buf, msg.CachedFlag, msg.Key, idx, value)
+		keep = keepSlot(ring, spans, keep, i, sp)
+	}
+	if keep > 0 && s.shedder != nil {
+		// Per-query handling latency: decode, admission and resolve,
+		// amortized over the batch's queries. It is observed before the
+		// send, so a sample never lands after the client has its reply.
+		s.shedder.Observe(time.Since(start) / time.Duration(keep))
+	}
+	return keep
 }
