@@ -2,9 +2,9 @@ GO ?= go
 
 # The committed perf-trajectory record `make bench` writes; bump the suffix
 # when a PR re-baselines the ladder.
-BENCH_OUT ?= BENCH_24.json
+BENCH_OUT ?= BENCH_30.json
 # The previous record, used as the regression baseline for -within gates.
-BENCH_BASE ?= BENCH_23.json
+BENCH_BASE ?= BENCH_24.json
 # Fixed iteration counts so runs are comparable across commits.
 BENCH_TIME ?= 2000000x
 # The wire ladder goes through real loopback sockets (µs per query, not ns),
@@ -64,9 +64,11 @@ chaos:
 # with Replicas at 1 the router builds no hot-key tracker and so never
 # sweeps.
 # The miss and write path gets the same treatment: GetOrLoad of a fresh key
-# through a replicated three-node router with its join windows open
-# (path=cold-router) must not allocate and must cost ≤4.8× a bare engine's
-# Query miss plus Apply (path=cold-engine).
+# through a replicated three-node router with the dual-read windows of a
+# fourth node's Leave open (path=cold-router) must not allocate and must
+# cost ≤4.8× a bare engine's Query miss plus Apply (path=cold-engine). The
+# same leg prices the hot-key tracker's touch (HotTouch, K = 4 and 128, one
+# and two goroutines), which must not allocate, publishes included.
 #
 # The btree leg prices loading the kvindex server's 1M-key index: the
 # one-pass BuildAscending must cost ≤0.5× the ascending Put loop it replaced
@@ -82,7 +84,7 @@ bench:
 		-benchtime=$(BENCH_TIME) -count=10 ./internal/engine/ \
 	&& $(GO) test -run '^$$' -bench 'WireLadder|NetDecode|NodeCall' -benchmem \
 		-benchtime=$(BENCH_NET_TIME) ./internal/netproto/ \
-	&& $(GO) test -run '^$$' -bench 'ClusterRouter' -benchmem \
+	&& $(GO) test -run '^$$' -bench 'ClusterRouter|HotTouch' -benchmem \
 		-benchtime=$(BENCH_TIME) -count=5 ./internal/cluster/ \
 	&& $(GO) test -run '^$$' -bench 'BTreeBuild|ServerLoad' -benchmem \
 		-benchtime=5x -count=3 ./internal/btree/ ./internal/kvindex/ ; } \
@@ -112,6 +114,10 @@ bench:
 		-zeroalloc 'ClusterRouter/path=selfheal' \
 		-maxratio 'ClusterRouter/path=cold-router<=4.8*ClusterRouter/path=cold-engine' \
 		-zeroalloc 'ClusterRouter/path=cold-router' \
+		-zeroalloc 'HotTouch/k=4/goroutines=1' \
+		-zeroalloc 'HotTouch/k=4/goroutines=2' \
+		-zeroalloc 'HotTouch/k=128/goroutines=1' \
+		-zeroalloc 'HotTouch/k=128/goroutines=2' \
 		-maxratio 'BTreeBuild/how=bulk<=0.5*BTreeBuild/how=put' \
 		-baseline $(BENCH_BASE) \
 		-within 'EngineQuery=3' \

@@ -36,8 +36,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -100,23 +102,38 @@ func (f *stringList) String() string     { return strings.Join(*f, " ") }
 func (f *stringList) Set(s string) error { *f = append(*f, s); return nil }
 
 func main() {
-	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
-	var constraints, zeroallocs, withins, maxratios stringList
-	flag.Var(&constraints, "faster", "constraint A<B: benchmark matching A must beat the one matching B (repeatable)")
-	flag.Var(&zeroallocs, "zeroalloc", "benchmark matching P must report 0 allocs/op (repeatable)")
-	flag.Var(&maxratios, "maxratio", "constraint A<=F*B: benchmark matching A must run within F× the ns/op of the one matching B (repeatable)")
-	baseline := flag.String("baseline", "", "prior benchjson report to compare -within constraints against")
-	flag.Var(&withins, "within", "constraint P=FACTOR: benchmark matching P must run within FACTOR× its ns/op in -baseline (repeatable)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	rep, err := parse(bufio.NewScanner(os.Stdin))
+// run is benchjson over args, the benchmark text on stdin and the two
+// outputs. It returns the exit status: 0 when every gate passes, 1 when a
+// gate fails or stdin holds no benchmark line, 2 on a bad flag, a missing
+// baseline or a pattern that matches no benchmark, or more than one.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "", "write the JSON report to this file (default stdout)")
+	var constraints, zeroallocs, withins, maxratios stringList
+	fs.Var(&constraints, "faster", "constraint A<B: benchmark matching A must beat the one matching B (repeatable)")
+	fs.Var(&zeroallocs, "zeroalloc", "benchmark matching P must report 0 allocs/op (repeatable)")
+	fs.Var(&maxratios, "maxratio", "constraint A<=F*B: benchmark matching A must run within F× the ns/op of the one matching B (repeatable)")
+	baseline := fs.String("baseline", "", "prior benchjson report to compare -within constraints against")
+	fs.Var(&withins, "within", "constraint P=FACTOR: benchmark matching P must run within FACTOR× its ns/op in -baseline (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	rep, err := parse(bufio.NewScanner(stdin))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
 	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson: no benchmark lines on stdin")
+		return 1
 	}
 	rep.buildMissLatencyPanel()
 
@@ -124,49 +141,49 @@ func main() {
 	if *baseline != "" {
 		data, err := os.ReadFile(*baseline)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchjson:", err)
+			return 2
 		}
 		base = &Report{}
 		if err := json.Unmarshal(data, base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: parsing -baseline %s: %v\n", *baseline, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchjson: parsing -baseline %s: %v\n", *baseline, err)
+			return 2
 		}
 		if base.CPU != rep.CPU {
 			// -within factors assume one machine; say so when they cannot.
-			fmt.Fprintf(os.Stderr, "benchjson: warning: baseline %s was recorded on cpu %q, this run on %q\n",
+			fmt.Fprintf(stderr, "benchjson: warning: baseline %s was recorded on cpu %q, this run on %q\n",
 				*baseline, base.CPU, rep.CPU)
 		}
 	} else if len(withins) > 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: -within requires -baseline")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchjson: -within requires -baseline")
+		return 2
 	}
 
 	failed := false
 	for _, c := range constraints {
 		fast, slow, ok := strings.Cut(c, "<")
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -faster %q (want A<B)\n", c)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchjson: bad -faster %q (want A<B)\n", c)
+			return 2
 		}
 		fb, err1 := rep.find(fast)
 		sb, err2 := rep.find(slow)
 		if err1 != nil || err2 != nil {
 			for _, e := range []error{err1, err2} {
 				if e != nil {
-					fmt.Fprintln(os.Stderr, "benchjson:", e)
+					fmt.Fprintln(stderr, "benchjson:", e)
 				}
 			}
-			os.Exit(2)
+			return 2
 		}
 		ratio := sb.NsPerOp / fb.NsPerOp
 		rep.Speedups = append(rep.Speedups, Speedup{Fast: fb.Name, Slow: sb.Name, Ratio: ratio})
 		if fb.NsPerOp >= sb.NsPerOp {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s (%.2f ns/op) is not faster than %s (%.2f ns/op)\n",
+			fmt.Fprintf(stderr, "benchjson: FAIL %s (%.2f ns/op) is not faster than %s (%.2f ns/op)\n",
 				fb.Name, fb.NsPerOp, sb.Name, sb.NsPerOp)
 			failed = true
 		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: ok %s is %.2fx faster than %s\n", fb.Name, ratio, sb.Name)
+			fmt.Fprintf(stderr, "benchjson: ok %s is %.2fx faster than %s\n", fb.Name, ratio, sb.Name)
 		}
 	}
 
@@ -175,36 +192,36 @@ func main() {
 		// never contains '*', so both cuts are unambiguous.
 		a, rest, ok := strings.Cut(c, "<=")
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -maxratio %q (want A<=F*B)\n", c)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchjson: bad -maxratio %q (want A<=F*B)\n", c)
+			return 2
 		}
 		factorStr, bPat, ok := strings.Cut(rest, "*")
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -maxratio %q (want A<=F*B)\n", c)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchjson: bad -maxratio %q (want A<=F*B)\n", c)
+			return 2
 		}
 		factor, err := strconv.ParseFloat(factorStr, 64)
 		if err != nil || factor <= 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -maxratio factor %q\n", factorStr)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchjson: bad -maxratio factor %q\n", factorStr)
+			return 2
 		}
 		ab, err1 := rep.find(a)
 		bb, err2 := rep.find(bPat)
 		if err1 != nil || err2 != nil {
 			for _, e := range []error{err1, err2} {
 				if e != nil {
-					fmt.Fprintln(os.Stderr, "benchjson:", e)
+					fmt.Fprintln(stderr, "benchjson:", e)
 				}
 			}
-			os.Exit(2)
+			return 2
 		}
 		limit := factor * bb.NsPerOp
 		if ab.NsPerOp > limit {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s at %.2f ns/op exceeds %.2fx %s (%.2f ns/op)\n",
+			fmt.Fprintf(stderr, "benchjson: FAIL %s at %.2f ns/op exceeds %.2fx %s (%.2f ns/op)\n",
 				ab.Name, ab.NsPerOp, factor, bb.Name, bb.NsPerOp)
 			failed = true
 		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: ok %s %.2f ns/op within %.2fx of %s (%.2f ns/op)\n",
+			fmt.Fprintf(stderr, "benchjson: ok %s %.2f ns/op within %.2fx of %s (%.2f ns/op)\n",
 				ab.Name, ab.NsPerOp, factor, bb.Name, bb.NsPerOp)
 		}
 	}
@@ -212,14 +229,14 @@ func main() {
 	for _, p := range zeroallocs {
 		b, err := rep.find(p)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchjson:", err)
+			return 2
 		}
 		if b.AllocsPerOp > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s allocates %d objects/op, want 0\n", b.Name, b.AllocsPerOp)
+			fmt.Fprintf(stderr, "benchjson: FAIL %s allocates %d objects/op, want 0\n", b.Name, b.AllocsPerOp)
 			failed = true
 		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: ok %s is allocation-free\n", b.Name)
+			fmt.Fprintf(stderr, "benchjson: ok %s is allocation-free\n", b.Name)
 		}
 	}
 
@@ -227,53 +244,54 @@ func main() {
 		// Split on the LAST '=': benchmark names carry k=v sub-bench labels.
 		eq := strings.LastIndex(c, "=")
 		if eq < 1 {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -within %q (want P=FACTOR)\n", c)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchjson: bad -within %q (want P=FACTOR)\n", c)
+			return 2
 		}
 		pat, factorStr := c[:eq], c[eq+1:]
 		factor, err := strconv.ParseFloat(factorStr, 64)
 		if err != nil || factor <= 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -within factor %q\n", factorStr)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchjson: bad -within factor %q\n", factorStr)
+			return 2
 		}
 		cur, err := rep.find(pat)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchjson:", err)
+			return 2
 		}
 		old, err := base.find(cur.Name)
 		if err != nil {
 			// A benchmark absent from the baseline (new this PR) cannot
 			// regress against it; report and move on.
-			fmt.Fprintf(os.Stderr, "benchjson: skip %s: not in baseline (%v)\n", cur.Name, err)
+			fmt.Fprintf(stderr, "benchjson: skip %s: not in baseline (%v)\n", cur.Name, err)
 			continue
 		}
 		limit := factor * old.NsPerOp
 		if cur.NsPerOp > limit {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s at %.2f ns/op exceeds %.1fx baseline %.2f ns/op\n",
+			fmt.Fprintf(stderr, "benchjson: FAIL %s at %.2f ns/op exceeds %.1fx baseline %.2f ns/op\n",
 				cur.Name, cur.NsPerOp, factor, old.NsPerOp)
 			failed = true
 		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: ok %s %.2f ns/op within %.1fx of baseline %.2f ns/op\n",
+			fmt.Fprintf(stderr, "benchjson: ok %s %.2f ns/op within %.1fx of baseline %.2f ns/op\n",
 				cur.Name, cur.NsPerOp, factor, old.NsPerOp)
 		}
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
 	data = append(data, '\n')
 	if *out == "" {
-		os.Stdout.Write(data)
+		stdout.Write(data)
 	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // buildMissLatencyPanel collects every benchmark that reported *-miss-ns

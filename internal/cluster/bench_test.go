@@ -2,12 +2,46 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/p4lru/p4lru/internal/engine"
 	"github.com/p4lru/p4lru/internal/policy"
 )
+
+// BenchmarkHotTouch prices the hot-key tracker's per-op touch over a Zipf
+// key stream, at K = 4 (the cluster benchmark's HotK) and 128 (the
+// default), from one goroutine and from two sharing one tracker. ns/op is
+// wall time per touch across all goroutines, publishes included.
+func BenchmarkHotTouch(b *testing.B) {
+	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, 1<<20)
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = z.Uint64() + 1
+	}
+	for _, k := range []int{4, 128} {
+		for _, g := range []int{1, 2} {
+			b.Run(fmt.Sprintf("k=%d/goroutines=%d", k, g), func(b *testing.B) {
+				h := newHotKeys(k, testSeed)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for w := 0; w < g; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := w; i < b.N; i += g {
+							h.Touch(keys[i&(len(keys)-1)])
+						}
+					}(w)
+				}
+				wg.Wait()
+			})
+		}
+	}
+}
 
 // BenchmarkClusterRouter prices the router's veneer over a single engine:
 // path=single queries the engine directly, path=local routes the same hits
@@ -17,8 +51,9 @@ import (
 //
 // path=cold-engine and path=cold-router price the miss and write path the
 // same way: a bare engine's Query miss plus Apply of a fresh key, against
-// GetOrLoad of a fresh key through a replicated three-node router whose
-// join windows stay open — the cluster benchmark's warm-up.
+// GetOrLoad of a fresh key through a replicated three-node router — the
+// cluster benchmark's warm-up — that a fourth node has left, whose
+// dual-read windows stay open.
 func BenchmarkClusterRouter(b *testing.B) {
 	const keys = 4096
 	newFilled := func(b *testing.B) *engine.Engine {
@@ -124,10 +159,13 @@ func BenchmarkClusterRouter(b *testing.B) {
 	b.Run("path=cold-router", func(b *testing.B) {
 		r := New(Config{Seed: testSeed, Replicas: 2, HotK: 4, HeartbeatEvery: -1, DualReadFor: time.Hour})
 		defer r.Close()
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 4; i++ {
 			if err := r.Join(fmt.Sprintf("node-%d", i), NewLocalPeer(newSeriesEngine(b), testSeed)); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if err := r.Leave("node-3"); err != nil {
+			b.Fatal(err)
 		}
 		load := func(k uint64) (uint64, error) { return k, nil }
 		b.ReportAllocs()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,15 +203,25 @@ func setWindows(r *Router, ws ...dualWindow) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.state.Load()
-	r.swap(st, st.ring, clonePeers(st.peers), ws, time.Now())
+	r.swap(st, st.ring, clonePeers(st.peers), ws, st.moves, time.Now())
+}
+
+// setMove publishes, as a join does before its streams, a move of arcs to
+// id, reached through p, on the current ring.
+func setMove(r *Router, id string, p Peer, arcs ...[2]uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.state.Load()
+	peers := clonePeers(st.peers)
+	peers[id] = p
+	r.swap(st, st.ring, peers, nil, []move{{arcs: arcs, dest: id, mu: new(sync.Mutex)}}, time.Now())
 }
 
 // TestRouterDualReadWindow drives the miss-retry path through hand-built
 // windows. In every case the value lives only on node-1, as if the key's
 // arc just moved 1 → 0, and the router queries a key node-0 owns; the
 // cluster_dual_reads_total counter counts the source reads it made. The
-// join windows the cluster already has never cover the key: they cover
-// arcs node-1 now owns.
+// joins that built the cluster opened no windows of their own.
 func TestRouterDualReadWindow(t *testing.T) {
 	const val = 777
 	circle := func(uint64) [][2]uint64 { return [][2]uint64{{0, 0}} } // degenerate arc: whole circle
@@ -281,19 +292,23 @@ func TestRouterDualReadWindow(t *testing.T) {
 
 // TestRouterPerOpPathsDoNotAllocate holds every per-op router path to zero
 // allocations on a replicated ring: hot-key reads and writes fan over the
-// replica set, and a cold GetOrLoad misses at the owner, reads the join
-// windows' previous holders, loads and installs.
+// replica set, a cold GetOrLoad misses at the owner, reads the previous
+// holder a fourth node's Leave left a window on, loads and installs, and a
+// write during a join's move reaches the joiner too.
 func TestRouterPerOpPathsDoNotAllocate(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := New(Config{Seed: testSeed, Replicas: 2, HotK: 4, HeartbeatEvery: -1, DualReadFor: time.Hour, Obs: reg})
 	t.Cleanup(r.Close)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		if err := r.Join(fmt.Sprintf("node-%d", i), NewLocalPeer(newSeriesEngine(t), testSeed)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := r.Leave("node-3"); err != nil {
+		t.Fatal(err)
+	}
 	if len(r.state.Load().windows) == 0 {
-		t.Fatal("the joins opened no dual-read windows")
+		t.Fatal("the leave opened no dual-read windows")
 	}
 	const hot = uint64(12345)
 	for i := 0; i < 4096; i++ {
@@ -308,6 +323,7 @@ func TestRouterPerOpPathsDoNotAllocate(t *testing.T) {
 	}
 	load := func(k uint64) (uint64, error) { return k, nil }
 	fresh := uint64(1 << 40)
+	joiner := NewLocalPeer(newSeriesEngine(t), testSeed)
 	for _, c := range []struct {
 		name string
 		op   func()
@@ -315,6 +331,13 @@ func TestRouterPerOpPathsDoNotAllocate(t *testing.T) {
 		{"hot Query", func() { _, _, _ = r.Query(hot) }},
 		{"hot Update", func() { _ = r.Update(hot, 2) }},
 		{"cold GetOrLoad", func() { fresh++; _, _ = r.GetOrLoad(fresh, load) }},
+		{"Update during a move", func() {
+			if len(r.state.Load().moves) == 0 {
+				setMove(r, "node-9", joiner, [2]uint64{0, 0})
+			}
+			fresh++
+			_ = r.Update(fresh, 1)
+		}},
 	} {
 		if n := testing.AllocsPerRun(1000, c.op); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
@@ -322,6 +345,9 @@ func TestRouterPerOpPathsDoNotAllocate(t *testing.T) {
 	}
 	if reg.CounterValue("cluster_fan_reads_total") == 0 || reg.CounterValue("cluster_dual_reads_total") == 0 {
 		t.Fatal("the ops never took the fan or the dual-read path")
+	}
+	if _, _, ok := joiner.Engine().Query(fresh); !ok {
+		t.Fatal("the write during the move never reached the joiner")
 	}
 }
 
@@ -397,4 +423,12 @@ func TestRouterHeartbeatAutoFail(t *testing.T) {
 			t.Fatal("dead node still a member")
 		}
 	}
+}
+
+// Publish forces a top-K publish, so a test need not wait out the touch
+// interval.
+func (h *hotKeys) Publish() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.publish(false)
 }

@@ -216,10 +216,15 @@ func (h *hintLog) pending() int { return int(h.n.Load()) }
 // keep-existing, and a failed push parks again what nothing newer replaced
 // meanwhile, for a later step; an id no longer in the ring has them
 // re-routed through Update to the keys' new owners; a member behind a
-// breaker that is not closed keeps them.
+// breaker that is not closed keeps them. Nothing replays while a join's
+// moves are published, and a push that a swap or move overtook counts as
+// failed: the pairs it took might have landed after a stream read them.
 func (r *Router) replayHints() {
 	for _, id := range r.hints.peers() {
 		st := r.state.Load()
+		if len(st.moves) > 0 {
+			return
+		}
 		i := slices.Index(st.ids, id)
 		member := i >= 0 && i < st.ring.Size()
 		if member && st.brkArr[i].State() != resilience.Closed {
@@ -232,7 +237,7 @@ func (r *Router) replayHints() {
 		n := 0
 		if member {
 			var err error
-			if n, err = pushPairs(st.peerArr[i], pairs); err != nil {
+			if n, err = pushPairs(st.peerArr[i], pairs); err != nil || r.state.Load() != st {
 				r.hintsDropped.Add(uint64(r.hints.settle(id, false)))
 				continue
 			}

@@ -21,14 +21,6 @@ import (
 func TestDualReadWindowsExpireWithoutHeartbeat(t *testing.T) {
 	const window = 200 * time.Millisecond
 	r, _ := newTestCluster(t, 3, Config{DualReadFor: window})
-	// Let the join windows lapse first, so the leave's are the only ones.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(r.state.Load().windows) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("the join windows never expired: %d still published", len(r.state.Load().windows))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	if err := r.Leave("node-2"); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +28,7 @@ func TestDualReadWindowsExpireWithoutHeartbeat(t *testing.T) {
 	if len(st.windows) == 0 || st.peers["node-2"] == nil {
 		t.Fatalf("the leave published %d windows and tombstone %v, want both", len(st.windows), st.peers["node-2"] != nil)
 	}
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st = r.state.Load()
 		if len(st.windows) == 0 && st.peers["node-2"] == nil && !slices.Contains(st.ids, "node-2") {
@@ -114,17 +106,22 @@ func TestWindowExpiryRacesTraffic(t *testing.T) {
 }
 
 // TestDualReadReadsEachSourceOnce builds the cluster benchmark's router
-// (three LocalPeer joins, Replicas 2, HotK 4), whose joins leave windows
-// open, and counts cluster_dual_reads_total per miss. A cold miss reads each
-// source whose window covers the key once, however many windows name it,
-// and never the owner. A hot-key miss never re-reads a replica its fan has
-// already read.
+// (LocalPeer joins, Replicas 2, HotK 4) over five nodes, two of which then
+// leave, so the windows of both leaves stay open, and counts
+// cluster_dual_reads_total per miss. A cold miss reads each source whose
+// window covers the key once, however many windows name it, and never the
+// owner. A hot-key miss never re-reads a replica its fan has already read.
 func TestDualReadReadsEachSourceOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := New(Config{Seed: testSeed, VNodes: 64, Replicas: 2, HotK: 4, HeartbeatEvery: -1, DualReadFor: time.Hour, Obs: reg})
 	t.Cleanup(r.Close)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ {
 		if err := r.Join(fmt.Sprintf("node-%d", i), NewLocalPeer(newSeriesEngine(t), testSeed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"node-4", "node-3"} {
+		if err := r.Leave(id); err != nil {
 			t.Fatal(err)
 		}
 	}

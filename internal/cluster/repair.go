@@ -87,7 +87,7 @@ func (r *Router) repairOne(j repairJob) {
 	if err != nil || !ok {
 		return
 	}
-	if r.updateIdx(st, dst, j.key, v) == nil {
+	if r.put(st, dst, j.key, v) == nil {
 		r.repairsApplied.Inc()
 	}
 }

@@ -55,9 +55,9 @@ type Config struct {
 	// Join/Leave/Fail, while window expiry, hint replay and repairs still
 	// run).
 	HeartbeatEvery time.Duration
-	// DualReadFor is how long after a membership swap a miss in a moved arc
+	// DualReadFor is how long after a Leave or Fail a miss in a moved arc
 	// retries the arc's previous holder (0 = 2s). It must comfortably cover
-	// a migration stream's duration.
+	// a migration stream's duration. A join opens no window.
 	DualReadFor time.Duration
 	// SuspectAfter is how long a member stays suspect before this router
 	// confirms it dead and removes it (0 = 4×HeartbeatEvery, or 1s when the
@@ -117,12 +117,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// dualWindow marks a set of hash arcs that recently changed hands: until
-// the deadline, a read miss inside the arcs retries source (the previous
-// holder) and re-installs hits at the new owner. Windows ride the immutable
-// ringState, so the query path reads them without locks, and a published
-// window is open: step republishes the state without it at its deadline,
-// so the query path reads no clock.
+// dualWindow marks a set of hash arcs that a Leave or Fail recently moved:
+// until the deadline, a read miss inside the arcs retries source (the
+// previous holder) and re-installs hits at the new owner. Windows ride the
+// immutable ringState, so the query path reads them without locks, and a
+// published window is open: step republishes the state without it at its
+// deadline, so the query path reads no clock.
 type dualWindow struct {
 	arcs   [][2]uint64
 	source string
@@ -133,14 +133,30 @@ type dualWindow struct {
 	src   int      // source's slot in the state's peer arrays; -1 = no handle
 }
 
+// move is one set of arcs a join is copying to its destination. While a
+// state carrying it is published, every write to the arcs also goes to
+// dest, under mu, which the join's stream of the arcs holds from the pull
+// to the restore (see Router.join).
+type move struct {
+	arcs [][2]uint64
+	dest string
+	mu   *sync.Mutex
+
+	// Resolved by ringState.index into the state that carries the move.
+	cover arcIndex
+	dst   int // dest's slot
+}
+
 // ringState is the router's atomically-swapped view of the cluster: the
 // ring, the peer handles (including tombstones — departed members kept
-// reachable while a dual-read window still points at them), and the active
-// windows. It is built whole and never mutated once published.
+// reachable while a dual-read window still points at them — and a joiner
+// while its moves run), the active windows and moves. It is built whole
+// and never mutated once published.
 //
 // ids/peerArr/locArr/brkArr are the per-op paths' view of peers and the
 // peer gate, indexed by slot: slot i < ring.Size() is ring.Members()[i],
-// later slots are the tombstones the windows read from. Every per-op call
+// later slots are the tombstones the windows read from and the joiner the
+// moves write to. Every per-op call
 // indexes them instead of paying string-map lookups and the gate's lock.
 // locArr devirtualizes in-process peers: where peerArr[i] is a *LocalPeer,
 // locArr[i] is that peer, so reads reach the engine with a direct call
@@ -153,10 +169,11 @@ type ringState struct {
 	locArr  []*LocalPeer
 	brkArr  []*resilience.Breaker
 	windows []dualWindow
+	moves   []move
 }
 
-// index builds the slot arrays and resolves every window against them.
-// Called once per swap, before the state is published.
+// index builds the slot arrays and resolves every window and move against
+// them. Called once per swap, before the state is published.
 func (st *ringState) index(gate *resilience.PeerGate) {
 	for _, id := range st.ring.Members() {
 		st.addSlot(id, gate)
@@ -169,6 +186,13 @@ func (st *ringState) index(gate *resilience.PeerGate) {
 		w.src = slices.Index(st.ids, w.source)
 		if w.src < 0 && st.peers[w.source] != nil {
 			w.src = st.addSlot(w.source, gate)
+		}
+	}
+	for i := range st.moves {
+		m := &st.moves[i]
+		m.cover = newArcIndex(m.arcs)
+		if m.dst = slices.Index(st.ids, m.dest); m.dst < 0 {
+			m.dst = st.addSlot(m.dest, gate)
 		}
 	}
 }
@@ -188,13 +212,18 @@ func (st *ringState) addSlot(id string, gate *resilience.PeerGate) int {
 // Update and GetOrLoad place keys on ring owners, fan hot keys across
 // replicas, and survive node death behind per-peer circuit breakers.
 // Membership changes (Join/Leave/Fail, or the heartbeat failure detector)
-// move only the affected hash ranges, streamed as range-filtered snapshots,
-// with a dual-read window masking the handoff.
+// move only the affected hash ranges, streamed as range-filtered snapshots.
+// A join sends the writes to its moving arcs to the joiner as well while
+// they stream, so it swaps warm with no read window; a Leave or Fail opens
+// a dual-read window to mask the handoff, since its source may be gone. A
+// write that raced a membership change lands again where the new state
+// routes it before it returns, so no acked write is lost to the stream.
 //
 // All methods are safe for concurrent use. The per-op paths (Query, Update,
-// GetOrLoad) take no gate lock, read no clock outside the hot-key sketch's
-// sampled touch and, while peers answer, allocate nothing: one atomic state
-// load, an O(1) ring lookup, and per peer call a breaker liveness load.
+// GetOrLoad) take no gate lock, read no clock and, while peers answer,
+// allocate nothing: one atomic state load, an O(1) ring lookup, and per
+// peer call a breaker liveness load; a write loads the state once more
+// when it returns.
 type Router struct {
 	cfg  Config
 	gate *resilience.PeerGate
@@ -600,7 +629,7 @@ func (r *Router) dualRead(st *ringState, pos, key uint64, read []int) (uint64, b
 		}
 		r.dualHits.Inc()
 		r.hits.Inc()
-		_ = r.updateIdx(st, read[0], key, v) // warm the new owner; best-effort
+		_ = r.put(st, read[0], key, v) // warm the new owner; best-effort
 		return v, true
 	}
 	return 0, false
@@ -620,16 +649,35 @@ func (r *Router) dualRead(st *ringState, pos, key uint64, read []int) (uint64, b
 // write drops the hints parked for its key, so no later replay rolls it
 // back.
 func (r *Router) Update(key, val uint64) error {
-	st := r.state.Load()
-	if st.ring.Size() == 0 {
-		return ErrNoNodes
-	}
-	return r.update(st, -1, key, val)
+	return r.write(r.state.Load(), -1, key, val)
 }
 
-// update is Update's write of key → val in st, a non-empty ring. owner is
-// the slot of key's owner when the caller has already routed a key that is
-// not hot (GetOrLoad's install, from its query), or -1 to route here.
+// write is update in the newest state: it writes key → val in st, then
+// again in each newer state it finds published when that write returns,
+// until a state stays current through a whole write. A write that loaded
+// the state from before a swap or a join's moves may reach a holder after
+// the migration stream has read it; it then finds the new state and lands
+// again where that state routes it, so a membership change need not wait
+// for writes in flight. owner is update's and holds for st only.
+func (r *Router) write(st *ringState, owner int, key, val uint64) error {
+	for {
+		if st.ring.Size() == 0 {
+			return ErrNoNodes
+		}
+		err := r.update(st, owner, key, val)
+		cur := r.state.Load()
+		if cur == st {
+			return err
+		}
+		st, owner = cur, -1
+	}
+}
+
+// update is one write of key → val in st, a non-empty ring: at the owner,
+// or the replica set of a hot key, and at the joiner of a move covering
+// key. owner is the slot of key's owner when the caller has already routed
+// a key that is not hot (GetOrLoad's install, from its query), or -1 to
+// route here.
 func (r *Router) update(st *ringState, owner int, key, val uint64) error {
 	r.updates.Inc()
 	var pos uint64
@@ -639,17 +687,11 @@ func (r *Router) update(st *ringState, owner int, key, val uint64) error {
 			owner = st.ring.OwnerIdxAt(pos)
 		}
 	}
-	if owner >= 0 {
-		err := r.updateIdx(st, owner, key, val)
-		if err == nil {
-			r.hints.supersede(key)
-		} else if r.parkHint(st.ids[owner], key, val, err) {
-			return ErrHinted
-		}
-		return err
-	}
 	var buf [8]int
-	reps := st.ring.replicaIdxAt(buf[:], pos, r.replicas())
+	reps := append(buf[:0], owner)
+	if owner < 0 {
+		reps = st.ring.replicaIdxAt(buf[:], pos, r.replicas())
+	}
 	err := r.updateIdx(st, reps[0], key, val)
 	if err == nil {
 		// Before the fan: the hints it parks carry the new value.
@@ -661,6 +703,48 @@ func (r *Router) update(st *ringState, owner int, key, val uint64) error {
 		if ferr := r.updateIdx(st, m, key, val); ferr != nil {
 			r.replicaFanFails.Inc()
 			r.parkHint(st.ids[m], key, val, ferr)
+		}
+	}
+	if derr := r.dualWrite(st, key, val); err == nil {
+		err = derr
+	}
+	return err
+}
+
+// put installs key → val at slot i of st and at the joiner of a move
+// covering key: the best-effort writes that are not Update's, the dual-read
+// re-install and the repair drain's install.
+func (r *Router) put(st *ringState, i int, key, val uint64) error {
+	err := r.updateIdx(st, i, key, val)
+	if derr := r.dualWrite(st, key, val); err == nil {
+		err = derr
+	}
+	return err
+}
+
+// dualWrite sends key → val to the joiner of every move in st that covers
+// key, after key's holders took it. The move's lock orders the write
+// against the join's stream of the arcs (see join). A joiner that cannot
+// be reached gets a hint, and the write reports ErrHinted.
+func (r *Router) dualWrite(st *ringState, key, val uint64) error {
+	if len(st.moves) == 0 {
+		return nil
+	}
+	pos := st.ring.Pos(key)
+	var err error
+	for i := range st.moves {
+		m := &st.moves[i]
+		if !m.cover.contains(pos) {
+			continue
+		}
+		m.mu.Lock()
+		merr := r.updateIdx(st, m.dst, key, val)
+		m.mu.Unlock()
+		if merr != nil && r.parkHint(m.dest, key, val, merr) {
+			merr = ErrHinted
+		}
+		if err == nil {
+			err = merr
 		}
 	}
 	return err
@@ -700,7 +784,8 @@ func isDownClass(err error) bool {
 //
 // The key is routed once: the install reuses the query's state and owner
 // slot, and routes again only when a membership change swapped the state
-// during load, so it lands exactly where Update would put it.
+// during load, so it lands exactly where Update would put it. Like Update,
+// an install that races a later swap lands again in the new state.
 func (r *Router) GetOrLoad(key uint64, load func(key uint64) (uint64, error)) (uint64, error) {
 	st := r.state.Load()
 	if st.ring.Size() == 0 {
@@ -725,19 +810,16 @@ func (r *Router) GetOrLoad(key uint64, load func(key uint64) (uint64, error)) (u
 	if cur := r.state.Load(); cur != st {
 		st, owner = cur, -1
 	}
-	if st.ring.Size() > 0 {
-		_ = r.update(st, owner, key, v)
-	}
+	_ = r.write(st, owner, key, v)
 	return v, nil
 }
 
 // Join adds node id (reached through peer) to the ring. Ownership of the
-// affected arcs is migrated to the new node *before* the ring swap — the
-// node serves its first query already warm — and a dual-read window covers
-// writes that raced the stream. The router does not take ownership of the
-// peer handle. The join also asserts the member alive in the membership
-// table (refuting any standing accusation), so a re-joined node spreads to
-// other routers.
+// affected arcs is migrated to the new node *before* the ring swap, so the
+// node serves its first query already warm, and no read window follows
+// (see join). The router does not take ownership of the peer handle. The
+// join also asserts the member alive in the membership table (refuting any
+// standing accusation), so a re-joined node spreads to other routers.
 func (r *Router) Join(id string, peer Peer) error {
 	return r.join(id, peer, false)
 }
@@ -764,19 +846,35 @@ func (r *Router) join(id string, peer Peer, owned bool) error {
 	udp, tcp := peer.Addrs()
 	r.member.Alive(id, udp, tcp)
 
-	// Migrate-then-swap: the stream runs while old owners still serve the
-	// arcs, so nothing is overwritten and the new node starts warm.
+	// Migrate-then-swap. The moves are published on the old ring first:
+	// from then on every write to a moving arc reaches the joiner too, and
+	// a write that loaded an older state writes again once it sees them
+	// (write). Each arc set streams under its move's lock, which the
+	// joiner's dual writes take too, so a dual write lands before the pull,
+	// when the source already holds its value, or after the restore. The
+	// restore can therefore overwrite, as it must for a joiner that comes
+	// back holding older pairs, without rolling a write back, and the swap
+	// needs no read window.
 	transfers := Plan(st.ring, next, r.replicas())
-	windows := r.execute(peers, transfers, "", false)
-	r.swap(st, next, peers, windows, time.Now())
+	if len(transfers) > 0 {
+		moves := make([]move, len(transfers))
+		for i, t := range transfers {
+			moves[i] = move{arcs: t.Arcs, dest: t.Dest, mu: new(sync.Mutex)}
+		}
+		r.swap(st, st.ring, peers, nil, moves, time.Now())
+		r.execute(peers, transfers, "", moves)
+		st = r.state.Load()
+	}
+	r.swap(st, next, clonePeers(peers), nil, nil, time.Now())
 	return nil
 }
 
 // Leave removes node id gracefully: the ring is swapped first (writes stop
-// arriving), then the departing node streams the moved arcs to their new
-// holders, with a dual-read window covering reads in between. The peer
-// handle stays reachable as a tombstone until its windows expire — close it
-// after ~DualReadFor, not immediately.
+// arriving; one that raced the swap lands again at the new holders), then
+// the departing node streams the moved arcs to their new holders, with a
+// dual-read window covering reads in between. The peer handle stays
+// reachable as a tombstone until its windows expire — close it after
+// ~DualReadFor, not immediately.
 func (r *Router) Leave(id string) error {
 	return r.remove(id, false)
 }
@@ -824,8 +922,8 @@ func (r *Router) remove(id string, dead bool) error {
 	if dead {
 		skip = id
 	}
-	r.swap(st, next, peers, r.windowsFor(transfers, skip), time.Now())
-	r.execute(r.state.Load().peers, transfers, skip, true)
+	r.swap(st, next, peers, r.windowsFor(transfers, skip), nil, time.Now())
+	r.execute(r.state.Load().peers, transfers, skip, nil)
 	return nil
 }
 
@@ -848,70 +946,73 @@ func (r *Router) windowsFor(transfers []Transfer, skip string) []dualWindow {
 }
 
 // execute streams every transfer from its first healthy source into its
-// destination. keepExisting selects the restore mode (true after a swap).
-// Returns dual-read windows for the arcs that moved, pointing at the
-// source that served each stream.
-func (r *Router) execute(peers map[string]Peer, transfers []Transfer, skip string, keepExisting bool) []dualWindow {
-	var windows []dualWindow
-	until := time.Now().Add(r.cfg.DualReadFor)
-	for _, t := range transfers {
+// destination. A join passes its moves, one per transfer: each stream then
+// runs under its move's lock and restores in overwrite mode. Leave and Fail
+// pass nil: their destinations already take writes as members, so they
+// restore keep-existing.
+func (r *Router) execute(peers map[string]Peer, transfers []Transfer, skip string, moves []move) {
+	for i, t := range transfers {
 		dst := peers[t.Dest]
 		if dst == nil {
 			continue
 		}
+		var mu *sync.Mutex
+		if moves != nil {
+			mu = moves[i].mu
+		}
 		for _, s := range t.Sources {
-			if s == skip || peers[s] == nil {
-				continue
-			}
-			sp := r.cfg.Span.Start(0, 0)
-			rc, err := peers[s].OpenPull(t.Arcs)
-			if err != nil {
-				sp.Finish(span.KindMigrate)
-				continue
-			}
-			sp.Mark(span.StageFetch)
-			n, err := dst.Push(rc, keepExisting)
-			rc.Close()
-			sp.Mark(span.StageApply)
-			sp.SetBatch(n)
-			sp.Finish(span.KindMigrate)
-			if err != nil {
-				continue
-			}
-			r.migrations.Inc()
-			r.migratedPairs.Add(uint64(n))
-			windows = append(windows, dualWindow{arcs: t.Arcs, source: s, until: until})
-			break
-		}
-	}
-	return windows
-}
-
-// swap publishes the new membership with the windows still open at now,
-// new and carried over, prunes tombstone peers no window references
-// anymore, and kicks the loop, whose next step times the earliest deadline
-// left. Caller holds r.mu.
-func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows []dualWindow, now time.Time) {
-	windows = slices.DeleteFunc(append(windows, st.windows...), func(w dualWindow) bool {
-		return !now.Before(w.until)
-	})
-	// Tombstones: peers out of the ring stay only while a window needs them.
-	for id := range peers {
-		if containsStr(next.Members(), id) {
-			continue
-		}
-		needed := false
-		for _, w := range windows {
-			if w.source == id {
-				needed = true
+			if s != skip && peers[s] != nil && r.stream(peers[s], dst, t.Arcs, mu) == nil {
 				break
 			}
 		}
-		if !needed {
-			delete(peers, id)
-		}
 	}
-	ns := &ringState{ring: next, peers: peers, windows: windows}
+}
+
+// stream copies the pairs src holds in arcs into dst, holding mu from the
+// pull to the restore when a join passes one, and then overwriting.
+func (r *Router) stream(src, dst Peer, arcs [][2]uint64, mu *sync.Mutex) error {
+	if mu != nil {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	sp := r.cfg.Span.Start(0, 0)
+	defer sp.Finish(span.KindMigrate)
+	rc, err := src.OpenPull(arcs)
+	if err != nil {
+		return err
+	}
+	sp.Mark(span.StageFetch)
+	n, err := dst.Push(rc, mu == nil)
+	rc.Close()
+	sp.Mark(span.StageApply)
+	sp.SetBatch(n)
+	if err != nil {
+		return err
+	}
+	r.migrations.Inc()
+	r.migratedPairs.Add(uint64(n))
+	return nil
+}
+
+// swap publishes the new membership with moves and with the windows still
+// open at now, new and carried over, prunes tombstone peers no window
+// references anymore, and kicks the loop, whose next step times the
+// earliest deadline left. Caller holds r.mu.
+func (r *Router) swap(st *ringState, next *Ring, peers map[string]Peer, windows []dualWindow, moves []move, now time.Time) {
+	windows = slices.DeleteFunc(append(windows, st.windows...), func(w dualWindow) bool {
+		return !now.Before(w.until)
+	})
+	// Peers out of the ring stay only while a window reads from them (a
+	// tombstone) or a move writes to them (the joiner).
+	for id := range peers {
+		if containsStr(next.Members(), id) ||
+			slices.ContainsFunc(windows, func(w dualWindow) bool { return w.source == id }) ||
+			slices.ContainsFunc(moves, func(m move) bool { return m.dest == id }) {
+			continue
+		}
+		delete(peers, id)
+	}
+	ns := &ringState{ring: next, peers: peers, windows: windows, moves: moves}
 	ns.index(r.gate)
 	r.state.Store(ns)
 	r.nodesGauge.Set(float64(next.Size()))
@@ -1035,7 +1136,7 @@ func (r *Router) expireWindows(now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.state.Load()
-	r.swap(st, st.ring, clonePeers(st.peers), nil, now)
+	r.swap(st, st.ring, clonePeers(st.peers), nil, st.moves, now)
 }
 
 // heartbeatTick is the heartbeat round at now: it pings every slot through

@@ -92,7 +92,7 @@ func NewNodeServer(addr string, cfg NodeConfig) (*NodeServer, error) {
 		s.gossips = r.Counter("node_gossips_total")
 	}
 	// The node traces nothing: its spans stay inert.
-	if err := s.plane.listenAndServe(addr, s.answer, span.KindNone); err != nil {
+	if err := s.plane.listenAndServe(addr, nodeBatch, s.answer, span.KindNone); err != nil {
 		return nil, fmt.Errorf("netproto: node udp listen: %w", err)
 	}
 	var err error

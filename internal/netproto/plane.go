@@ -20,9 +20,14 @@ import (
 // and returns how many it kept. Dropped datagrams are simply not kept.
 type handler func(ring *batchio.Ring, got int, spans []span.Span) int
 
-// planeBatch is the ring size: the most datagrams one recvmmsg or sendmmsg
-// moves.
+// planeBatch is the ring size of a Switch or Server reader: the most
+// datagrams one recvmmsg or sendmmsg moves.
 const planeBatch = 64
+
+// nodeBatch is a NodeServer reader's ring size: a node's clients keep one
+// request in flight each, so a read finds a few datagrams at most, and each
+// slot costs a packetBufSize buffer when the node starts.
+const nodeBatch = 8
 
 // planeRcvBuf is the receive buffer every plane socket asks for. At the
 // common 208 KiB default a loopback socket queues only about 256 small
@@ -59,15 +64,16 @@ func (p *plane) listen(addr string) ([]*batchio.Conn, error) {
 }
 
 // listenAndServe binds the group at addr and runs planeReaders() readers
-// over it, each sending h's replies out of the socket it read from.
-func (p *plane) listenAndServe(addr string, h handler, kind span.Kind) error {
+// over it, each with a ring of batch slots and sending h's replies out of
+// the socket it read from.
+func (p *plane) listenAndServe(addr string, batch int, h handler, kind span.Kind) error {
 	conns, err := p.listen(addr)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < planeReaders(); i++ {
 		c := conns[i%len(conns)]
-		p.serve(c, c, h, kind)
+		p.serve(c, c, batch, h, kind)
 	}
 	return nil
 }
@@ -104,15 +110,15 @@ func keepSlot(ring *batchio.Ring, spans []span.Span, keep, i int, sp span.Span) 
 	return keep + 1
 }
 
-// serve starts one reader: it reads batches from in, has h rewrite each in
-// place, writes what h kept to out in one call, and finishes each sent
-// datagram's span as kind once the write returns.
-func (p *plane) serve(in, out *batchio.Conn, h handler, kind span.Kind) {
+// serve starts one reader: it reads batches of up to batch datagrams from
+// in, has h rewrite each in place, writes what h kept to out in one call,
+// and finishes each sent datagram's span as kind once the write returns.
+func (p *plane) serve(in, out *batchio.Conn, batch int, h handler, kind span.Kind) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		ring := batchio.NewRing(planeBatch, packetBufSize)
-		spans := make([]span.Span, planeBatch)
+		ring := batchio.NewRing(batch, packetBufSize)
+		spans := make([]span.Span, batch)
 		for {
 			got, err := in.ReadBatch(ring)
 			if err != nil {

@@ -74,7 +74,7 @@ func NewServer(addr string, items int, opts ...ServerOption) (*Server, error) {
 	if s.shedder != nil {
 		s.health.Register("shedder", s.shedder.Check)
 	}
-	if err := s.plane.listenAndServe(addr, s.answer, span.KindReply); err != nil {
+	if err := s.plane.listenAndServe(addr, planeBatch, s.answer, span.KindReply); err != nil {
 		return nil, fmt.Errorf("netproto: listen: %w", err)
 	}
 	return s, nil

@@ -153,8 +153,8 @@ func (sw *Switch) start(listenAddr string) error {
 			return fmt.Errorf("netproto: server conn: %w", err)
 		}
 		cc, sc := clients[i%len(clients)], servers[0]
-		sw.plane.serve(cc, sc, sw.forwardQueries, span.KindQuery)
-		sw.plane.serve(sc, cc, sw.replyHandler(), span.KindReply)
+		sw.plane.serve(cc, sc, planeBatch, sw.forwardQueries, span.KindQuery)
+		sw.plane.serve(sc, cc, planeBatch, sw.replyHandler(), span.KindReply)
 	}
 	return nil
 }
